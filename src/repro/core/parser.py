@@ -17,6 +17,11 @@ Grammar::
     primary    := "(" query ")" | "true" | "false" | constraint
     constraint := "[" attrref op rhs "]"
 
+Parenthesised groups and ``not`` prefixes, counting the groups of text
+patterns inside ``contains``, may nest at most :data:`MAX_NESTING` deep;
+deeper input is a :class:`ParseError`, so hostile nesting never reaches
+the recursive passes downstream.
+
 The right-hand side is parsed according to the operator:
 
 * ``contains`` — a text pattern (see :mod:`repro.text.patterns`);
@@ -32,13 +37,21 @@ The right-hand side is parsed according to the operator:
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 
 from repro.core.ast import FALSE, TRUE, Constraint, Query, attr, conj, disj
 from repro.core.errors import ParseError
 from repro.core.values import MONTH_NAMES, Month, Point, Range, Year
 from repro.obs import trace as obs
 
-__all__ = ["parse_query", "parse_rhs", "parse_period"]
+__all__ = ["parse_query", "parse_rhs", "parse_period", "MAX_NESTING"]
+
+#: Deepest nesting of ``(`` groups and ``not`` prefixes a query may use,
+#: text-pattern groups included.  Every pass after the parser
+#: (normalize, EDNF, TDQM, filters, evaluation) recurses over the tree;
+#: at twice this depth they all still finish, while a few hundred
+#: levels more exhaust Python's recursion limit.
+MAX_NESTING = 100
 
 _ATTR_RE = re.compile(r"[A-Za-z_][\w-]*(?:\[\d+\])?(?:\.[A-Za-z_][\w-]*)*")
 _WORD_OPS = ("contains", "starts", "during", "in")
@@ -63,6 +76,7 @@ class _QueryParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     # -- low-level helpers ---------------------------------------------------
 
@@ -83,6 +97,15 @@ class _QueryParser:
             return False
         self.pos = end
         return True
+
+    def nested(self, parse: Callable[[], Query]) -> Query:
+        """Run ``parse`` one ``(``/``not`` level deeper, within :data:`MAX_NESTING`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"query nests deeper than {MAX_NESTING} levels")
+        result = parse()
+        self.depth -= 1
+        return result
 
     def expect(self, char: str) -> None:
         self.skip_ws()
@@ -111,11 +134,11 @@ class _QueryParser:
         if self.keyword("not"):
             from repro.core.ast import neg
 
-            return neg(self.primary())
+            return neg(self.nested(self.primary))
         char = self.text[self.pos]
         if char == "(":
             self.pos += 1
-            inner = self.or_expr()
+            inner = self.nested(self.or_expr)
             self.expect(")")
             return inner
         if char == "[":
@@ -139,7 +162,7 @@ class _QueryParser:
         raw = self.text[self.pos : close].strip()
         if not raw:
             raise self.error("missing right-hand side in constraint")
-        rhs = parse_rhs(op, raw)
+        rhs = parse_rhs(op, raw, depth=self.depth)
         self.pos = close + 1
         return Constraint(lhs, op, rhs)
 
@@ -180,14 +203,18 @@ class _QueryParser:
         raise self.error("expected an operator")
 
 
-def parse_rhs(op: str, raw: str) -> object:
-    """Parse a constraint right-hand side according to its operator."""
+def parse_rhs(op: str, raw: str, depth: int = 0) -> object:
+    """Parse a constraint right-hand side according to its operator.
+
+    ``depth`` is the nesting the enclosing query already uses; a text
+    pattern's groups count on from there towards :data:`MAX_NESTING`.
+    """
     if op == "contains":
         from repro.text import parse_pattern
 
         if raw.startswith('"') and raw.endswith('"') and raw.count('"') == 2:
             raw = raw[1:-1]
-        return parse_pattern(raw)
+        return parse_pattern(raw, depth)
     if op == "during":
         return parse_period(raw)
     if op == "in":

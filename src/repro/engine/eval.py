@@ -12,20 +12,65 @@ stored attributes with operator-specific semantics.  Amazon's ``ti-word``
 source's ``X_range``/``C_ll`` (region predicates over point coordinates,
 Example 8) are all virtuals.  A virtual is a callable
 ``fn(row, op, value) -> bool`` consulted before stored attributes.
+
+Two evaluators share these semantics.  :func:`evaluate` interprets the
+query tree against a :class:`RowEnv`; it answers Eq. 1 and is the oracle
+the tests hold the other to.  :func:`compile_predicate` turns a query
+into a closure over a tuple of rows laid out by a fixed key sequence,
+resolving attribute references and binding operators once per scan; the
+Eq. 2 scans (sources, the grammar wrapper, the mediator's post-filter)
+run it once per row.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Collection, Mapping, Sequence
 
 from repro.core.ast import And, AttrRef, BoolConst, Constraint, Not, Or, Query
 from repro.core.errors import EvaluationError
 from repro.core.operators import evaluate_op, get_operator
 
-__all__ = ["RowEnv", "evaluate", "evaluate_row", "Virtual"]
+__all__ = [
+    "RowEnv", "evaluate", "evaluate_row", "compile_predicate", "Virtual",
+    "RowPredicate",
+]
 
 #: A virtual-attribute evaluator: (row, op, value) -> bool.
 Virtual = Callable[[Mapping, str, object], bool]
+
+#: A compiled query: rows in the compiled key order -> bool.
+RowPredicate = Callable[[Sequence[Mapping]], bool]
+_Lookup = Callable[[Sequence[Mapping]], object]
+
+
+def _resolve_key(ref: AttrRef, keys: Collection[tuple]) -> tuple | None:
+    """The environment key ``ref`` names, decided from the keys alone.
+
+    These are the steps of :meth:`RowEnv.resolve` that never look inside
+    a row, shared with :func:`compile_predicate` so both evaluators
+    resolve alike: the exact ``(qualifier, index)`` key; the paper's
+    ``fac.bib`` ≡ ``fac[i].bib`` abbreviation when unambiguous (several
+    matching instances raise :class:`EvaluationError`); a bare attribute
+    against a sole instance.  ``None`` leaves only hierarchical descent.
+    """
+    qualifier = ref.qualifier
+    key = (qualifier, ref.index)
+    if key in keys:
+        return key
+    if ref.index is None:
+        # ``fac.bib`` abbreviates ``fac[i].bib`` for any i (Section
+        # 4.2) — unambiguous only when a single instance matches.
+        candidates = [candidate for candidate in keys if candidate[0] == qualifier]
+        if len(candidates) == 1:
+            return candidates[0]
+        if len(candidates) > 1:
+            raise EvaluationError(
+                f"ambiguous reference {ref}: {len(candidates)} instances match"
+            )
+    if not qualifier and len(keys) == 1:
+        # Bare attribute in a single-instance context.
+        return next(iter(keys))
+    return None
 
 
 class RowEnv:
@@ -58,25 +103,9 @@ class RowEnv:
         ``doc.author.ln`` against a ``doc`` instance holding
         ``{"author": {"ln": ...}}``).
         """
-        qualifier = ref.qualifier
-        key = (qualifier, ref.index)
-        if key in self.rows:
+        key = _resolve_key(ref, self.rows)
+        if key is not None:
             return self.rows[key], ref.attr
-        if ref.index is None:
-            # ``fac.bib`` abbreviates ``fac[i].bib`` for any i (Section
-            # 4.2) — unambiguous only when a single instance matches.
-            candidates = [
-                row for (qual, _idx), row in self.rows.items() if qual == qualifier
-            ]
-            if len(candidates) == 1:
-                return candidates[0], ref.attr
-            if len(candidates) > 1:
-                raise EvaluationError(
-                    f"ambiguous reference {ref}: {len(candidates)} instances match"
-                )
-        if not qualifier and len(self.rows) == 1:
-            # Bare attribute in a single-instance context.
-            return next(iter(self.rows.values())), ref.attr
         nested = self._descend(ref)
         if nested is not None:
             return nested, ref.attr
@@ -163,3 +192,186 @@ def evaluate_row(
 ) -> bool:
     """Evaluate a selection query against one bare tuple."""
     return evaluate(query, RowEnv({((), None): row}, virtuals))
+
+
+def compile_predicate(
+    query: Query,
+    keys: Sequence[tuple],
+    virtuals: Mapping[str, Virtual] | None = None,
+) -> RowPredicate:
+    """Compile ``query`` into a predicate over rows laid out as ``keys``.
+
+    ``compile_predicate(q, keys, virtuals)(rows)`` returns exactly what
+    ``evaluate(q, RowEnv(dict(zip(keys, rows)), virtuals))`` returns, in
+    the same left-to-right short-circuit order, and raises the same
+    exception type and message where that raises.  The difference is
+    cost: each attribute reference is resolved to a row position, and
+    each virtual evaluator and operator function is bound, once here
+    instead of once per row.
+
+    A constraint whose evaluation depends on row contents (hierarchical
+    descent) or fails (an ambiguous or unresolvable reference, an unknown
+    operator) compiles to a closure that runs the interpreter for that
+    constraint alone; so does an unknown node type.  Compiling therefore
+    never raises, and a scan over zero rows raises nothing.
+
+    Nothing is cached: compiling costs O(query) and evaluating
+    O(rows × constraints), so a scan compiles its query afresh.
+    """
+    layout = tuple(keys)
+    positions = {key: position for position, key in enumerate(layout)}
+    bound_virtuals = dict(virtuals or {})
+    try:
+        return _compile(query, layout, positions, bound_virtuals)
+    except RecursionError:
+        return _interpreted(query, layout, bound_virtuals)
+
+
+def _compile(
+    query: Query,
+    layout: tuple,
+    positions: Mapping[tuple, int],
+    virtuals: Mapping[str, Virtual],
+) -> RowPredicate:
+    if isinstance(query, BoolConst):
+        value = query.value
+        return lambda rows: value
+    if isinstance(query, (And, Or)):
+        parts = tuple(
+            _compile(child, layout, positions, virtuals) for child in query.children
+        )
+        return _all_of(parts) if isinstance(query, And) else _any_of(parts)
+    if isinstance(query, Not):
+        inner = _compile(query.child, layout, positions, virtuals)
+        return lambda rows: not inner(rows)
+    if isinstance(query, Constraint):
+        compiled = _compile_constraint(query, positions, virtuals)
+        if compiled is not None:
+            return compiled
+    return _interpreted(query, layout, virtuals)
+
+
+def _all_of(parts: tuple[RowPredicate, ...]) -> RowPredicate:
+    def conjunction(rows: Sequence[Mapping]) -> bool:
+        for part in parts:
+            if not part(rows):
+                return False
+        return True
+
+    return conjunction
+
+
+def _any_of(parts: tuple[RowPredicate, ...]) -> RowPredicate:
+    def disjunction(rows: Sequence[Mapping]) -> bool:
+        for part in parts:
+            if part(rows):
+                return True
+        return False
+
+    return disjunction
+
+
+def _interpreted(
+    query: Query, layout: tuple, virtuals: Mapping[str, Virtual]
+) -> RowPredicate:
+    """The interpreter behind the compiled signature (the fallback)."""
+    return lambda rows: evaluate(query, RowEnv(dict(zip(layout, rows)), virtuals))
+
+
+def _position(ref: AttrRef, positions: Mapping[tuple, int]) -> int | None:
+    """The row position ``ref`` reads, when the key layout alone decides it."""
+    try:
+        key = _resolve_key(ref, positions)
+    except EvaluationError:
+        return None  # ambiguous: the interpreter raises it per row
+    return None if key is None else positions[key]
+
+
+def _stored(position: int, ref: AttrRef) -> _Lookup:
+    """:meth:`RowEnv.lookup` of ``ref`` at a fixed row position."""
+    name = ref.attr
+
+    def lookup(rows: Sequence[Mapping]) -> object:
+        row = rows[position]
+        if name in row:
+            return row[name]
+        raise EvaluationError(f"attribute {name!r} not in tuple for {ref}")
+
+    return lookup
+
+
+def _compile_constraint(
+    constraint: Constraint,
+    positions: Mapping[tuple, int],
+    virtuals: Mapping[str, Virtual],
+) -> RowPredicate | None:
+    """``_evaluate_constraint`` at fixed positions; ``None`` = interpret."""
+    lhs, op, rhs = constraint.lhs, constraint.op, constraint.rhs
+    position = _position(lhs, positions)
+    if position is None:
+        return None
+    rhs_lookup: _Lookup | None = None
+    if isinstance(rhs, AttrRef):
+        rhs_position = _position(rhs, positions)
+        if rhs_position is None:
+            return None
+        rhs_lookup = _stored(rhs_position, rhs)
+
+    virtual = virtuals.get(lhs.attr)
+    if virtual is not None:
+        negated = False
+        if op.startswith("not-"):
+            try:
+                base = get_operator(op).complement
+            except EvaluationError:
+                return None
+            if base is not None:
+                # Complement operators produced by negation push-down: let
+                # the virtual answer the base operator and invert.
+                op, negated = base, True
+        return _virtual_predicate(virtual, position, op, rhs, rhs_lookup, negated)
+
+    try:
+        test = get_operator(op).evaluate
+    except EvaluationError:
+        return None
+    name = lhs.attr
+    if rhs_lookup is None and rhs is not None:
+
+        def select(rows: Sequence[Mapping]) -> bool:
+            row = rows[position]
+            if name not in row:
+                raise EvaluationError(f"attribute {name!r} not in tuple for {lhs}")
+            value = row[name]
+            return False if value is None else test(value, rhs)
+
+        return select
+    lhs_lookup = _stored(position, lhs)
+    # A constant None operand still costs the lhs lookup, then never matches.
+    other_lookup: _Lookup = rhs_lookup or (lambda rows: None)
+
+    def join(rows: Sequence[Mapping]) -> bool:
+        other = other_lookup(rows)
+        value = lhs_lookup(rows)
+        if value is None or other is None:
+            return False
+        return test(value, other)
+
+    return join
+
+
+def _virtual_predicate(
+    virtual: Virtual,
+    position: int,
+    op: str,
+    rhs: object,
+    rhs_lookup: _Lookup | None,
+    negated: bool,
+) -> RowPredicate:
+    if rhs_lookup is None:
+        if negated:
+            return lambda rows: not virtual(rows[position], op, rhs)
+        return lambda rows: virtual(rows[position], op, rhs)
+    if negated:
+        return lambda rows: not virtual(rows[position], op, rhs_lookup(rows))
+    return lambda rows: virtual(rows[position], op, rhs_lookup(rows))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from repro.core.ast import And, BoolConst, Constraint, Or, Query, conj
 from repro.core.dnf import dnf_terms
 from repro.core.errors import CapabilityError
-from repro.engine.eval import RowEnv, evaluate
+from repro.engine.eval import compile_predicate
 
 __all__ = ["QueryGrammar", "Wrapper"]
 
@@ -163,6 +163,8 @@ class Wrapper:
     def select(self, instances: Mapping[tuple, str], query: Query) -> list[dict]:
         """Answer ``query`` exactly, through grammar-conforming calls."""
         calls = self.plan_calls(query)
+        keys = list(instances)
+        predicate = compile_predicate(query, keys, self.source.virtuals)
         seen: set = set()
         out: list[dict] = []
         for call in calls:
@@ -171,8 +173,7 @@ class Wrapper:
                 key = _row_key(bound)
                 if key in seen:
                     continue
-                env = RowEnv(bound, self.source.virtuals)
-                if evaluate(query, env):
+                if predicate([bound[instance] for instance in keys]):
                     seen.add(key)
                     out.append(bound)
         return out

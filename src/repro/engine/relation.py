@@ -8,7 +8,7 @@ engine exists so translations can be *executed* and verified end-to-end
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 from repro.core.errors import SchemaError
 

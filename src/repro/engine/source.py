@@ -20,7 +20,7 @@ from itertools import product
 from repro.core.ast import Query
 from repro.core.errors import EvaluationError
 from repro.engine.capabilities import Capability
-from repro.engine.eval import RowEnv, Virtual, evaluate
+from repro.engine.eval import Virtual, compile_predicate
 from repro.engine.relation import Relation
 from repro.obs import trace as obs
 
@@ -72,12 +72,10 @@ class Source:
                 self.grammar.check(query, target=f"source {self.name!r}")
             keys = list(instances)
             pools = [self.relation(instances[key]).rows() for key in keys]
-            out: list[dict] = []
-            for combo in product(*pools):
-                bound = dict(zip(keys, combo))
-                env = RowEnv(bound, self.virtuals)
-                if evaluate(query, env):
-                    out.append(bound)
+            predicate = compile_predicate(query, keys, self.virtuals)
+            out = [
+                dict(zip(keys, combo)) for combo in product(*pools) if predicate(combo)
+            ]
             if obs.enabled():
                 scanned = 1
                 for pool in pools:

@@ -31,7 +31,7 @@ from repro.core.errors import EvaluationError, SourceUnavailableError, Translati
 from repro.core.filters import FilterPlan, build_filter
 from repro.core.normalize import normalize
 from repro.core.tdqm import TranslationResult
-from repro.engine.eval import RowEnv, Virtual, evaluate
+from repro.engine.eval import RowEnv, Virtual, compile_predicate, evaluate
 from repro.engine.source import Source
 from repro.engine.views import UnionViewDef, ViewDef
 from repro.obs import trace as obs
@@ -427,7 +427,12 @@ class Mediator:
                 per_source.append(executed)
 
         # Reassemble view tuples through the conversion functions and apply
-        # the residue filter F.
+        # the residue filter F, compiled once for this choice's instances.
+        residue = compile_predicate(
+            plan.filter,
+            [((view,), index) for view, index in instances],
+            self.view_virtuals,
+        )
         out: list[ResultRow] = []
         filtered = 0
         for parts in product(*per_source):
@@ -455,14 +460,7 @@ class Mediator:
             if not ok:
                 continue
             filtered += 1
-            env = RowEnv(
-                {
-                    ((view,), index): row
-                    for (view, index), row in zip(instances, view_rows)
-                },
-                self.view_virtuals,
-            )
-            if evaluate(plan.filter, env):
+            if residue(view_rows):
                 out.append(_canonical(instances, view_rows))
         if obs.recording():
             # Post-filter selectivity: candidates that reached F vs survivors.

@@ -68,6 +68,11 @@ from repro.serve.worker import worker_main
 
 __all__ = ["ClusterConfig", "ClusterServer", "ClusterError"]
 
+#: Longest JSON line (bytes, newline included) the front-end reads from a
+#: client or a shard.  asyncio's default of 64 KiB is smaller than one
+#: batch response; a shard line past this bound reads as a dead shard.
+MAX_LINE_BYTES = 16 * 1024 * 1024
+
 #: Ops the front-end answers itself (everything else goes to a shard).
 FRONTEND_OPS = ("stats", "shards", "drain", "restart", "snapshot",
                 "health", "metrics", "sources", "slowlog", "reload")
@@ -357,7 +362,7 @@ class ClusterServer:
         for shard in self.shards:
             await self._connect_shard(shard)
         self._server = await asyncio.start_server(
-            self._serve_client, host=self.host, port=self.port
+            self._serve_client, host=self.host, port=self.port, limit=MAX_LINE_BYTES
         )
 
     async def _async_stop(self) -> None:
@@ -376,7 +381,7 @@ class ClusterServer:
     async def _connect_shard(self, shard: _Shard) -> None:
         assert shard.port is not None
         shard.reader, shard.writer = await asyncio.open_connection(
-            "127.0.0.1", shard.port
+            "127.0.0.1", shard.port, limit=MAX_LINE_BYTES
         )
         shard.write_lock = asyncio.Lock()
         shard.pending = {}

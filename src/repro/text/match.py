@@ -73,7 +73,9 @@ def match_positions(pattern: TextPattern, tokens: list[str]) -> list[int]:
 def _matches_tokens(pattern: TextPattern, tokens: list[str]) -> bool:
     if isinstance(pattern, MatchAll):
         return True
-    if isinstance(pattern, (Word, PhrasePat)):
+    if isinstance(pattern, Word):
+        return pattern.text in tokens
+    if isinstance(pattern, PhrasePat):
         return bool(match_positions(pattern, tokens))
     if isinstance(pattern, AndPat):
         return all(_matches_tokens(part, tokens) for part in pattern.parts)

@@ -15,7 +15,9 @@ Grammar (lowest to highest precedence)::
     primary := WORD | PHRASE | "(" pattern ")"
 
 ``near`` takes an optional window, written ``(near/5)``; the default window
-is :data:`DEFAULT_NEAR_WINDOW` token positions.
+is :data:`DEFAULT_NEAR_WINDOW` token positions.  Groups nest at most
+:data:`repro.core.parser.MAX_NESTING` deep, counting the nesting of the
+query the pattern sits in.
 
 All pattern nodes are immutable and hashable so they can appear as
 constraint values inside matchings.
@@ -28,6 +30,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from repro.core.errors import ParseError
+from repro.core.parser import MAX_NESTING
 
 __all__ = [
     "TextPattern",
@@ -151,6 +154,12 @@ class _Compound(TextPattern):
     def _key(self) -> tuple:
         return self.parts
 
+    def __repr__(self) -> str:
+        # Structural, like the leaf dataclasses' reprs: query fingerprints
+        # and intern keys render values with repr, so it must be exactly
+        # the equality key (NearPat's window included).
+        return f"{type(self).__name__}{self._key()!r}"
+
     def iter_words(self) -> Iterator[str]:
         for part in self.parts:
             yield from part.iter_words()
@@ -234,10 +243,11 @@ def _lex(text: str) -> list[str]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str], text: str):
+    def __init__(self, tokens: list[str], text: str, depth: int):
         self.tokens = tokens
         self.text = text
         self.pos = 0
+        self.depth = depth
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -297,9 +307,15 @@ class _Parser:
     def primary(self) -> TextPattern:
         token = self.take()
         if token == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"text pattern nests deeper than {MAX_NESTING} levels", self.text
+                )
             inner = self.or_expr()
             if self.take() != ")":
                 raise ParseError("expected ')' in text pattern", self.text)
+            self.depth -= 1
             return inner
         if token.startswith('"'):
             words = token[1:-1].split()
@@ -313,8 +329,11 @@ class _Parser:
         return Word(token)
 
 
-def parse_pattern(text: str) -> TextPattern:
+def parse_pattern(text: str, depth: int = 0) -> TextPattern:
     """Parse the paper's infix pattern notation into a :class:`TextPattern`.
+
+    ``depth`` is the nesting an enclosing query already uses (see
+    :func:`repro.core.parser.parse_rhs`).
 
     >>> parse_pattern("java (near) jdk")
     NearPat(...)
@@ -324,4 +343,4 @@ def parse_pattern(text: str) -> TextPattern:
     tokens = _lex(text)
     if not tokens:
         raise ParseError("empty text pattern", text)
-    return _Parser(tokens, text).parse()
+    return _Parser(tokens, text, depth).parse()

@@ -289,6 +289,28 @@ class TestClusterResilience:
             finally:
                 client.close()
 
+    def test_large_batch_response_is_not_a_worker_death(self):
+        # 400 Qbook-shaped translations answer ~450 KB on one line, far
+        # past asyncio's default 64 KiB stream limit.
+        queries = [
+            f'(([ln = "Smith{i}"] and [fn = "John"]) or [kwd contains www{i}] '
+            f"or [kwd contains web]) and [pyear = {1990 + i % 10}] and "
+            f"([pmonth = {1 + i % 12}] or [pmonth = {1 + (i + 1) % 12}])"
+            for i in range(400)
+        ]
+        with ClusterServer(cluster_config()) as cluster:
+            client = Client(cluster.address)
+            try:
+                batch = client.call({"op": "batch", "queries": queries})
+                assert batch["ok"] is True, batch.get("error")
+                assert len(batch["results"]) == len(queries)
+                follow_up = client.call({"op": "translate", "query": QUERY})
+                assert follow_up["ok"] is True, follow_up
+                stats = client.call({"op": "stats"})["stats"]
+                assert stats["frontend"]["worker_deaths"] == 0
+            finally:
+                client.close()
+
     def test_rolling_restart_loses_nothing_and_restores_warm(self, tmp_path):
         config = cluster_config(snapshot_dir=str(tmp_path))
         with ClusterServer(config) as cluster:

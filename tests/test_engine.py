@@ -1,12 +1,30 @@
 """Tests for the relational engine (relation, eval, capabilities, source)."""
 
-import pytest
+import typing
+from collections.abc import Iterator
 
-from repro.core.ast import C, Constraint, attr, conj, disj
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.ast import (
+    FALSE,
+    TRUE,
+    And,
+    AttrRef,
+    C,
+    Constraint,
+    Not,
+    Or,
+    Query,
+    attr,
+    conj,
+    disj,
+)
 from repro.core.errors import CapabilityError, EvaluationError, SchemaError
 from repro.core.parser import parse_query
 from repro.engine.capabilities import Capability
-from repro.engine.eval import RowEnv, evaluate, evaluate_row
+from repro.engine.eval import RowEnv, compile_predicate, evaluate, evaluate_row
 from repro.engine.relation import Relation
 from repro.engine.source import Source
 from repro.text import TextCapability
@@ -34,6 +52,10 @@ class TestRelation:
         rel = Relation("r", ("a",), [{"a": 1}])
         rel.rows().append({"a": 2})
         assert len(rel) == 1
+
+    def test_type_hints_resolve(self):
+        hints = typing.get_type_hints(Relation.__iter__)
+        assert hints["return"] == Iterator[dict]
 
 
 class TestRowEnv:
@@ -160,3 +182,182 @@ class TestSource:
             {(("v", "r1"), None): "r1", (("v", "r2"), None): "r2"}, q
         )
         assert len(out) == 2  # (1,1) and (2,2)
+
+
+# -- compiled predicates vs the interpreter -----------------------------------
+
+
+def _v(row, op, value):
+    """A virtual answering from row contents and the operator it is given."""
+    if op == "boom":
+        raise EvaluationError(f"virtual v rejects {value!r}")
+    matched = row.get("a") == value
+    return matched if op in ("=", "in", "contains") else not matched
+
+
+def _w(row, op, value):
+    """A virtual whose answer is not a bool (compiled must pass it through)."""
+    return row.get("b")
+
+
+VIRTUALS = {"v": _v, "w": _w}
+
+#: Environment keys: bare, indexed and unindexed view instances, a
+#: relation instance, and a ``doc`` instance holding nested sub-documents.
+ENV_KEYS = (
+    ((), None),
+    (("fac",), 1),
+    (("fac",), 2),
+    (("fac",), None),
+    (("fac", "aubib"), None),
+    (("doc",), None),
+)
+
+#: Reference paths beyond those naming a layout key: ambiguous
+#: (``fac.ln`` over two ``fac`` instances), unresolvable (``pub``),
+#: hierarchical (``doc.author.ln``), and virtual (``v``/``w``).
+REF_PATHS = (
+    ("a",), ("ln",), ("v",), ("w",), ("fac", "ln"), ("fac", "v"),
+    ("fac", "aubib", "ln"), ("doc", "author", "ln"), ("doc", "author", "v"),
+    ("pub", "ln"),
+)
+ATTRS = ("a", "b", "ln", "v", "w", "author")
+
+OPS = (
+    "=", "!=", "<", ">=", "contains", "starts", "in",
+    "not-in", "not-contains", "boom", "bogus", "not-bogus",
+)
+
+SCALARS = st.sampled_from((None, 0, 1, 2, "x", "X ", "y z", (1, "x")))
+
+#: Rows always carry ``a``/``b``; ``ln`` and the nested ``author``
+#: sub-document may be missing.
+rows = st.fixed_dictionaries(
+    {"a": SCALARS, "b": SCALARS},
+    optional={
+        "ln": SCALARS,
+        "author": st.fixed_dictionaries({}, optional={"ln": SCALARS, "a": SCALARS}),
+    },
+)
+
+key_layouts = st.one_of(
+    st.lists(st.sampled_from(ENV_KEYS), min_size=1, max_size=4, unique=True),
+    # Two indexed instances of one view, so unindexed ``fac.*`` is ambiguous.
+    st.lists(st.sampled_from(ENV_KEYS[3:]), max_size=2, unique=True).map(
+        lambda extra: [ENV_KEYS[1], ENV_KEYS[2], *extra]
+    ),
+)
+
+
+class _Mystery(Query):
+    """A node type neither evaluator knows."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "_Mystery()"
+
+
+def _junction(kind, children):
+    """``kind`` over ``children`` without conj/disj's constant folding."""
+    flat = []
+    for child in children:
+        flat.extend(child.children if type(child) is kind else [child])
+    return kind(flat)
+
+
+@st.composite
+def cases(draw):
+    """A key layout with its rows, and a query over references into it."""
+    keys = draw(key_layouts)
+    # A layout key's own path and index, or its path unindexed (the
+    # ``fac.bib`` abbreviation, ambiguous over two indexed instances).
+    named = st.builds(
+        lambda key, name, indexed: AttrRef((*key[0], name), key[1] if indexed else None),
+        st.sampled_from(keys),
+        st.sampled_from(ATTRS),
+        st.booleans(),
+    )
+    other = st.builds(
+        AttrRef, st.sampled_from(REF_PATHS), st.sampled_from((None, 1, 2))
+    )
+    refs = st.one_of(named, named, other)
+    constraints = st.builds(
+        Constraint, refs, st.sampled_from(OPS), st.one_of(SCALARS, SCALARS, refs)
+    )
+    leaves = st.one_of(
+        constraints, st.sampled_from((TRUE, FALSE, TRUE, FALSE, _Mystery()))
+    )
+    query = draw(
+        st.recursive(
+            leaves,
+            lambda inner: st.one_of(
+                st.builds(_junction, st.just(And), st.lists(inner, min_size=2, max_size=3)),
+                st.builds(_junction, st.just(Or), st.lists(inner, min_size=2, max_size=3)),
+                st.builds(Not, inner),
+            ),
+            max_leaves=6,
+        )
+    )
+    return query, keys, draw(st.tuples(*(rows for _ in keys)))
+
+
+def _outcome(thunk):
+    try:
+        value = thunk()
+    except Exception as exc:  # noqa: BLE001 - the outcome is the comparison
+        return ("raise", type(exc), str(exc))
+    return ("ok", type(value), value)
+
+
+class TestCompilePredicate:
+    @settings(max_examples=600, deadline=None)
+    @given(case=cases())
+    def test_matches_interpreter(self, case):
+        query, keys, bound = case
+        predicate = compile_predicate(query, keys, VIRTUALS)  # never raises
+        env = RowEnv(dict(zip(keys, bound)), VIRTUALS)
+        assert _outcome(lambda: predicate(bound)) == _outcome(
+            lambda: evaluate(query, env)
+        )
+
+    def test_junctions_answer_bools(self):
+        raw = Constraint(attr("w"), "=", 1)  # the virtual answers 7
+        keys, row = [((), None)], ({"b": 7},)
+        env = RowEnv(dict(zip(keys, row)), VIRTUALS)
+        for query in (raw, And([raw, raw]), Or([raw, raw]), Not(raw)):
+            compiled = compile_predicate(query, keys, VIRTUALS)(row)
+            assert compiled == evaluate(query, env)
+            assert type(compiled) is type(evaluate(query, env))
+
+    def test_negated_virtual_answers_base_operator(self):
+        keys, row = [((), None)], ({"a": 1, "b": 0},)
+        env = RowEnv(dict(zip(keys, row)), VIRTUALS)
+        for op in ("not-in", "not-contains", "!="):
+            query = Constraint(attr("v"), op, 1)
+            assert compile_predicate(query, keys, VIRTUALS)(row) is evaluate(query, env)
+
+    def test_short_circuits_left_to_right(self):
+        raises = Constraint(attr("missing"), "=", 1)
+        keys = [((), None)]
+        row = ({"a": 1},)
+        assert not compile_predicate(conj([C("a", "=", 2), raises]), keys)(row)
+        assert compile_predicate(disj([C("a", "=", 1), raises]), keys)(row)
+        with pytest.raises(EvaluationError, match="'missing' not in tuple"):
+            compile_predicate(conj([C("a", "=", 1), raises]), keys)(row)
+
+    def test_row_dependent_references_fall_back(self):
+        keys = [(("fac",), 1), (("fac",), 2)]
+        ambiguous = compile_predicate(C("fac.ln", "=", "A"), keys)
+        with pytest.raises(EvaluationError, match="ambiguous reference fac.ln"):
+            ambiguous(({"ln": "A"}, {"ln": "B"}))
+        nested = compile_predicate(
+            C("doc.author.ln", "=", "Codd"), [(("doc",), None)]
+        )
+        assert nested(({"author": {"ln": "Codd"}},))
+        assert not nested(({"author": {"ln": "Gray"}},))
+
+    def test_zero_row_scan_raises_nothing(self):
+        rel = Relation("r", ("a",))
+        src = Source("S", {"r": rel}, Capability.of(selections=[("b", "bogus")]))
+        assert src.select_rows("r", C("b", "bogus", 1)) == []

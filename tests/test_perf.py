@@ -20,6 +20,7 @@ from repro.perf import (
     query_fingerprint,
     translate_batch,
 )
+from repro.perf.intern import intern_query
 from repro.rules import builtin_specifications
 from repro.workloads.generator import (
     simple_conjunction,
@@ -78,6 +79,30 @@ class TestFingerprint:
     def test_canonical_form_is_stable_text(self):
         q = parse_query('[b = 2] and [a = 1]')
         assert canonical_form(q) == canonical_form(parse_query('[a = 1] and [b = 2]'))
+
+    @pytest.mark.parametrize(
+        "pattern",
+        ["logic (near) search", "logic (near/3) search", "logic (and) search",
+         "logic (or) search", '(a (and) b) (near) "c d"'],
+    )
+    def test_compound_text_patterns_fingerprint_by_structure(self, pattern):
+        # Compound patterns render by structure, not by object address:
+        # two parses of one text share a fingerprint and an interned node.
+        text = f"[ti contains {pattern}]"
+        first, second = parse_query(text), parse_query(text)
+        assert query_fingerprint(first) == query_fingerprint(second)
+        assert intern_query(first) is intern_query(second)
+
+    def test_compound_text_patterns_differ_by_words_and_window(self):
+        texts = [
+            f"[ti contains w{i} ({op}) x{j}]"
+            for i, j in ((0, 0), (1, 0), (0, 1), *((k, k) for k in range(2, 60)))
+            for op in ("near", "near/2", "near/9", "and", "or")
+        ]
+        # Parse and drop each query before the next, as a server would:
+        # freed patterns must not lend their identity to later ones.
+        prints = [query_fingerprint(parse_query(text)) for text in texts]
+        assert len(set(prints)) == len(texts)
 
 
 # -- compiled rule index -------------------------------------------------------

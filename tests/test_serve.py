@@ -11,9 +11,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.parser import parse_query
+from repro.core.parser import MAX_NESTING, parse_query
 from repro.core.tdqm import tdqm_translate
-from repro.mediator import bookstore_mediator
+from repro.mediator import bookstore_federation, bookstore_mediator
 from repro.obs import trace as obs
 from repro.serve import (
     MediationService,
@@ -33,6 +33,23 @@ QUERIES = [
     '([ln = "Clancy"] or [ln = "Klancy"]) and [fn = "Tom"]',
     '([kwd contains www] or ([ln = "Smith"] and [fn = "John"])) and [pyear = 1997]',
 ]
+
+
+def nested_query(depth: int) -> str:
+    """``depth`` nested groups alternating ∧ and ∨: a tree that deep."""
+    query = '[ln = "Clancy"]'
+    for level in range(depth):
+        if level % 2:
+            query = f"([pyear = {1990 + level % 10}] or {query})"
+        else:
+            query = f'({query} and [fn = "Tom"])'
+    return query
+
+
+def pattern_in_groups(query_depth: int, pattern_depth: int) -> str:
+    """A ``contains`` pattern in ``pattern_depth`` groups, inside ``query_depth``."""
+    pattern = "(" * pattern_depth + "www (near) web" + ")" * pattern_depth
+    return "(" * query_depth + f"[kwd contains {pattern}]" + ")" * query_depth
 
 
 def make_service(**config) -> MediationService:
@@ -460,6 +477,36 @@ class TestMalformedInputHardening:
         request, error = decode_line("[1, 2, 3]")
         assert request is None
         assert error is not None and error["error"]["type"] == "bad-request"
+
+    @pytest.mark.parametrize(
+        "query",
+        [nested_query(MAX_NESTING), pattern_in_groups(60, MAX_NESTING - 60)],
+        ids=["query", "query+pattern"],
+    )
+    def test_nesting_at_the_bound_translates_and_mediates(self, query):
+        service = MediationService(bookstore_federation(), ServiceConfig())
+        for op in ("translate", "mediate"):
+            response = json.loads(handle_line(service, json.dumps({"op": op, "query": query})))
+            assert response["ok"] is True, response
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            nested_query(MAX_NESTING + 1),
+            "(" * 1000 + '[ln = "x"]' + ")" * 1000,
+            "not " * 1000 + '[ln = "x"]',
+            pattern_in_groups(0, 1000),
+            pattern_in_groups(60, MAX_NESTING - 59),
+        ],
+        ids=["one-deeper", "parens", "nots", "pattern", "query+pattern"],
+    )
+    def test_nesting_past_the_bound_is_a_structured_parse_error(self, query):
+        service = MediationService(bookstore_federation(), ServiceConfig())
+        for op in ("translate", "mediate"):
+            response = json.loads(handle_line(service, json.dumps({"op": op, "query": query})))
+            assert response["ok"] is False
+            assert response["error"]["type"] == "ParseError"
+            assert f"deeper than {MAX_NESTING} levels" in response["error"]["message"]
 
     def test_handle_line_answers_recursion_bomb(self):
         response = json.loads(handle_line(make_service(), "[" * 200_000))
