@@ -144,9 +144,7 @@ def _json_counters(payload: dict) -> dict:
 
 def _cmd_translate(args) -> int:
     query = parse_query(args.query)
-    result = tdqm_translate(
-        query, _spec(args.spec, args.spec_file), interpret=args.interpret
-    )
+    result = tdqm_translate(query, _spec(args.spec, args.spec_file))
     if args.json:
         payload = {
             "spec": args.spec,
@@ -165,11 +163,7 @@ def _cmd_translate(args) -> int:
 
 def _cmd_explain(args) -> int:
     query = parse_query(args.query)
-    print(
-        explain_translation(
-            query, _spec(args.spec, args.spec_file), interpret=args.interpret
-        )
-    )
+    print(explain_translation(query, _spec(args.spec, args.spec_file)))
     return 0
 
 
@@ -417,7 +411,6 @@ def _serve_cluster(args) -> int:
             snapshot_limit=args.snapshot_limit,
             metrics=args.metrics,
             resilience_args=_resilience_args_from_args(args),
-            interpret=args.interpret,
         )
     except ValueError as exc:
         raise SystemExit(f"serve: {exc}") from None
@@ -477,14 +470,12 @@ def _cmd_serve(args) -> int:
         if not args.tcp:
             raise SystemExit("serve: --processes needs --tcp (workers are TCP shards)")
         return _serve_cluster(args)
-    mediator.interpret = args.interpret
     resilience = _resilience_from_args(args)
     if resilience is not None:
         mediator = mediator.with_resilience(resilience)
-    if not args.interpret:
-        # Compile all rule closures before the first request lands.
-        for spec in mediator.specs.values():
-            spec.compiled_index().precompile()
+    # Compile all rule closures before the first request lands.
+    for spec in mediator.specs.values():
+        spec.compiled_index().precompile()
     try:
         config = ServiceConfig(
             max_concurrency=args.max_concurrency, queue_depth=args.queue_depth
@@ -990,16 +981,6 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_interpret_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--interpret",
-        action="store_true",
-        help="force the interpreted matcher walk instead of compiled rule "
-        "closures, and bypass the translation cache (the repro.perf.compile "
-        "escape hatch / equivalence oracle)",
-    )
-
-
 def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--trace",
@@ -1026,7 +1007,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("-v", "--verbose", action="store_true")
     p.add_argument("-f", "--spec-file", help="load the spec from a declarative JSON file")
     p.add_argument("--json", action="store_true", help="emit the mapping as JSON")
-    _add_interpret_flag(p)
     _add_obs_flags(p)
     p.set_defaults(fn=_cmd_translate)
 
@@ -1034,7 +1014,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("query")
     p.add_argument("-f", "--spec-file", help="load the spec from a declarative JSON file")
-    _add_interpret_flag(p)
     _add_obs_flags(p)
     p.set_defaults(fn=_cmd_explain)
 
@@ -1178,7 +1157,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "-v", "--verbose", action="store_true",
         help="print service statistics to stderr on exit",
     )
-    _add_interpret_flag(p)
     _add_resilience_flags(p)
     _add_obs_flags(p)
     p.set_defaults(fn=_cmd_serve)

@@ -19,10 +19,8 @@ of constraints (matchings, cross-matchings) throughout.
 
 Immutability also makes every node a safe memoization site: constraints
 cache their hash and rendered text in ``__dict__``, junctions in dedicated
-slots (plus ``__weakref__`` so :mod:`repro.perf.intern` can hash-cons them
-in a weak table).  The cached values are pure functions of the node, so
-sharing nodes across queries — which interning does aggressively — never
-changes observable behaviour.
+slots.  The cached values are pure functions of the node, so sharing nodes
+across queries never changes observable behaviour.
 """
 
 from __future__ import annotations
@@ -207,8 +205,8 @@ class Constraint(Query):
 
     def __hash__(self) -> int:
         # Same formula as the dataclass-generated hash, memoized: constraints
-        # are set/dict keys throughout the matcher, and interned nodes are
-        # long-lived, so the cache pays for itself on the second use.
+        # are set/dict keys throughout the matcher, so the cache pays for
+        # itself on the second use.
         memo = self.__dict__
         cached = memo.get("_hash")
         if cached is None:
@@ -274,11 +272,10 @@ class _Junction(Query):
     The extra slots are memoization sites: ``_hash`` is filled eagerly (the
     matcher puts junctions in sets constantly), ``_str`` and ``_canon``
     lazily by :meth:`__str__` and :func:`repro.perf.fingerprint.
-    canonical_form`.  ``__weakref__`` lets :mod:`repro.perf.intern` keep
-    junctions in a weak hash-consing table.
+    canonical_form`.
     """
 
-    __slots__ = ("children", "_hash", "_str", "_canon", "_norm", "__weakref__")
+    __slots__ = ("children", "_hash", "_str", "_canon", "_norm")
     _symbol = "?"
 
     children: tuple[Query, ...]

@@ -37,27 +37,18 @@ class DNFMapResult:
 
 
 def dnf_map_translate(
-    query: Query,
-    spec: MappingSpecification | Matcher,
-    *,
-    cache=None,
-    interpret: bool = False,
+    query: Query, spec: MappingSpecification | Matcher, *, cache=None
 ) -> DNFMapResult:
     """Run Algorithm DNF, returning the mapping and work counters.
 
     ``cache`` (a :class:`repro.perf.TranslationCache`) memoizes whole
     results exactly as for :func:`repro.core.tdqm.tdqm_translate` —
     consulted only when ``spec`` is a :class:`MappingSpecification`.
-    ``interpret=True`` forces the interpreted matcher walk and bypasses
-    the cache (see :mod:`repro.perf.compile`).
     """
-    if cache is not None and not interpret and isinstance(spec, MappingSpecification):
+    if cache is not None and isinstance(spec, MappingSpecification):
         return cache.dnf(query, spec)
     query = normalize(query)
-    if isinstance(spec, MappingSpecification):
-        matcher = spec.matcher(interpret=interpret)
-    else:
-        matcher = spec
+    matcher = spec.matcher() if isinstance(spec, MappingSpecification) else spec
     # Prematch once over the full constraint set so per-disjunct matching
     # is a filter, as the Section 7.1.3 discussion allows for SCM too.
     matcher.potential(query.constraints())
@@ -84,8 +75,6 @@ def dnf_map_translate(
     )
 
 
-def dnf_map(
-    query: Query, spec: MappingSpecification | Matcher, *, interpret: bool = False
-) -> Query:
+def dnf_map(query: Query, spec: MappingSpecification | Matcher) -> Query:
     """``DNF(Q, K)``: minimal subsuming mapping via the DNF route."""
-    return dnf_map_translate(query, spec, interpret=interpret).mapping
+    return dnf_map_translate(query, spec).mapping

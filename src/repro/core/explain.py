@@ -21,23 +21,14 @@ from repro.rules.spec import MappingSpecification
 __all__ = ["explain_translation"]
 
 
-def explain_translation(
-    query, spec: MappingSpecification, *, interpret: bool = False
-) -> str:
-    """A step-by-step account of translating ``query`` under ``spec``.
-
-    ``interpret=True`` forces the interpreted matcher walk, so the
-    narration shows the uncompiled path (each traversal step is labelled
-    with the dispatch mode that produced it; see
-    :mod:`repro.perf.compile`).
-    """
+def explain_translation(query, spec: MappingSpecification) -> str:
+    """A step-by-step account of translating ``query`` under ``spec``."""
     normalized = normalize(query)
-    matcher: Matcher = spec.matcher(interpret=interpret)
+    matcher: Matcher = spec.matcher()
     potential = matcher.potential(normalized.constraints())
 
     lines: list[str] = []
     lines.append(f"specification: {spec}")
-    lines.append(f"dispatch     : {matcher.mode}")
     lines.append("")
     lines.append("query:")
     lines.extend("  " + line for line in render_tree(normalized).splitlines())

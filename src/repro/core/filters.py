@@ -57,11 +57,7 @@ def translate_for_sources(
 
 
 def build_filter(
-    query: Query,
-    specs: dict[str, MappingSpecification],
-    cache=None,
-    *,
-    interpret: bool = False,
+    query: Query, specs: dict[str, MappingSpecification], cache=None
 ) -> FilterPlan:
     """Translate ``query`` for every source and derive the residue filter.
 
@@ -70,15 +66,13 @@ def build_filter(
     hottest part of the mediation path for repeated queries.  The plan is
     identical with or without it: translation is a pure function of the
     (normalized) query and the specification's rule-set version.
-    ``interpret=True`` forces interpreted matching everywhere and skips
-    the cache (see :mod:`repro.perf.compile`).
     """
     with obs.span("build_filter", sources=len(specs)):
         query = normalize(query)
         conjuncts = list(query.children) if isinstance(query, And) else [query]
 
         matchers: dict[str, Matcher] = {
-            name: spec.matcher(interpret=interpret) for name, spec in specs.items()
+            name: spec.matcher() for name, spec in specs.items()
         }
         mappings: dict[str, Query] = {}
         droppable: set[int] = set()
@@ -86,7 +80,7 @@ def build_filter(
             spec = specs[name]
 
             def translate(q: Query):
-                if cache is not None and not interpret:
+                if cache is not None:
                     return cache.tdqm(q, spec)
                 return tdqm_translate(q, matcher)
 

@@ -23,7 +23,7 @@ Key facts exploited here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from repro.core.ast import AttrRef, Constraint, Query
 from repro.core.errors import RuleError
@@ -260,21 +260,13 @@ def _quick_compatible(pattern: ConstraintPattern, constraint: Constraint) -> boo
     return True
 
 
-def match_rule(
-    rule: Rule,
-    constraints: Sequence[Constraint],
-    pools: list[list[Constraint]] | None = None,
-) -> list[Matching]:
+def match_rule(rule: Rule, constraints: Sequence[Constraint]) -> list[Matching]:
     """All matchings of ``rule`` among ``constraints``.
 
     Patterns are assigned to *distinct* constraints (a matching is a set);
     different assignments yielding the same set and emission collapse.
-    ``pools`` lets an index-equipped caller supply the per-pattern
-    candidate pools it already computed (see
-    :class:`repro.perf.index.CompiledRuleIndex`); the screen is identical
-    either way, and unification re-checks everything regardless.
     """
-    candidates = pools if pools is not None else [
+    candidates = [
         [c for c in constraints if _quick_compatible(pattern, c)]
         for pattern in rule.patterns
     ]
@@ -360,23 +352,20 @@ class Matcher:
     is valid because matching is monotone (rules neither consume constraints
     nor look outside the matched group).
 
-    ``index`` (a :class:`repro.perf.index.CompiledRuleIndex` built over
-    the *same* rule tuple) narrows each prematch to the rules whose head
-    signatures can bind the universe — results are identical, only the
-    fruitless probes are skipped.  ``MappingSpecification.matcher()``
-    attaches it automatically; an index probed after its specification
-    mutated raises :class:`~repro.core.errors.StaleIndexError`.
-
-    With an index attached, each candidate rule is dispatched through its
-    **compiled closure** (:mod:`repro.perf.compile`) — bit-identical to
-    the interpreted walk, just without the per-call pattern dispatch.
-    ``interpret=True`` forces the interpreted ``match_rule`` walk even
-    when an index is attached (index dispatch still narrows candidates,
-    as PR-3 shipped it); it is both the escape hatch and the equivalence
-    oracle the compiled path is property-tested against.
+    Without an index, the prematch walks :func:`match_rule` over every
+    rule — the paper's Fig. 4 as written, and the reference oracle the
+    fast path is tested against.  ``index`` (a
+    :class:`repro.perf.index.CompiledRuleIndex` built over the *same*
+    rule tuple) narrows each prematch to the rules whose head signatures
+    can bind the universe and dispatches each through its **compiled
+    closure** (:mod:`repro.perf.compile`); the matchings, their order and
+    their exactness are identical to the oracle's.
+    ``MappingSpecification.matcher()`` attaches the index automatically;
+    an index probed after its specification mutated raises
+    :class:`~repro.core.errors.StaleIndexError`.
     """
 
-    def __init__(self, rules: Sequence[Rule], index=None, *, interpret: bool = False):
+    def __init__(self, rules: Sequence[Rule], index=None):
         self.rules = tuple(rules)
         if index is not None and len(index) != len(self.rules):
             raise RuleError(
@@ -384,16 +373,8 @@ class Matcher:
                 f"got {len(self.rules)}"
             )
         self._index = index
-        self._interpret = bool(interpret)
         self._universe: frozenset[Constraint] | None = None
         self._potential: list[Matching] = []
-
-    @property
-    def mode(self) -> str:
-        """``"compiled"`` or ``"interpreted"`` — which walk rules take."""
-        if self._index is not None and not self._interpret:
-            return "compiled"
-        return "interpreted"
 
     def potential(self, constraints: Iterable[Constraint]) -> list[Matching]:
         """``M_p``: all matchings over the constraint universe seen so far.
@@ -406,16 +387,6 @@ class Matcher:
         """
         universe = frozenset(constraints) | (self._universe or frozenset())
         if universe != self._universe:
-            if self._index is not None and not self._interpret:
-                # Compiled dispatch: the index memoizes the whole prematch
-                # per universe (pure rules + pinned version make M_p a
-                # function of the universe alone).
-                cached = self._index.prematch_get(universe)
-                if cached is not None:
-                    self._universe = universe
-                    self._potential = list(cached)
-                    obs.count("matcher.matchings", len(self._potential))
-                    return list(self._potential)
             ordered = sorted(universe, key=str)
             found: list[Matching] = []
             if self._index is not None:
@@ -426,17 +397,10 @@ class Matcher:
                 if obs.enabled():
                     obs.count("matcher.prematch.misses")
                     obs.count("matcher.rules_tried", len(candidates))
-                compiled_dispatch = not self._interpret
                 for rule_id in candidates:
                     pools = self._index.pools(rule_id, by_attr, ordered)
-                    if pools is None:
-                        continue
-                    if compiled_dispatch:
+                    if pools is not None:
                         found.extend(self._index.compiled(rule_id).matchings(pools))
-                    else:
-                        found.extend(match_rule(self.rules[rule_id], ordered, pools=pools))
-                if compiled_dispatch:
-                    self._index.prematch_store(universe, found)
             else:
                 if obs.enabled():
                     obs.count("matcher.prematch.misses")

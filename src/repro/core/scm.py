@@ -62,25 +62,17 @@ def suppress_submatchings(matchings: list[Matching]) -> list[Matching]:
 def scm_translate(
     query: Query | frozenset[Constraint],
     spec: MappingSpecification | Matcher,
-    *,
-    interpret: bool = False,
 ) -> SCMResult:
-    """Run Algorithm SCM, returning the mapping plus its trace.
-
-    ``interpret=True`` forces the interpreted matcher walk when ``spec``
-    is a specification (a readymade :class:`Matcher` carries its own
-    mode; see :mod:`repro.perf.compile`).
-    """
+    """Run Algorithm SCM, returning the mapping plus its trace."""
     if not obs.enabled():
-        return _scm_translate(query, spec, interpret)
+        return _scm_translate(query, spec)
     with obs.span("scm"):
-        return _scm_translate(query, spec, interpret)
+        return _scm_translate(query, spec)
 
 
 def _scm_translate(
     query: Query | frozenset[Constraint],
     spec: MappingSpecification | Matcher,
-    interpret: bool = False,
 ) -> SCMResult:
     if isinstance(query, frozenset):
         constraints = query
@@ -97,10 +89,7 @@ def _scm_translate(
         for i, c in enumerate(query.iter_constraints()):
             order.setdefault(c, i)
 
-    if isinstance(spec, MappingSpecification):
-        matcher = spec.matcher(interpret=interpret)
-    else:
-        matcher = spec
+    matcher = spec.matcher() if isinstance(spec, MappingSpecification) else spec
     all_matchings = matcher.matchings(constraints)
     kept = suppress_submatchings(all_matchings)
     if obs.enabled():
@@ -129,8 +118,6 @@ def _scm_translate(
 def scm(
     query: Query | frozenset[Constraint],
     spec: MappingSpecification | Matcher,
-    *,
-    interpret: bool = False,
 ) -> Query:
     """``SCM(Q̂, K)``: the minimal subsuming mapping of a simple conjunction."""
-    return scm_translate(query, spec, interpret=interpret).mapping
+    return scm_translate(query, spec).mapping

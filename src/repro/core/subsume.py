@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from repro.core.ast import And, BoolConst, Constraint, Not, Or, Query
 

@@ -97,7 +97,6 @@ def tdqm_translate(
     trace: list[str] | None = None,
     *,
     cache=None,
-    interpret: bool = False,
 ) -> TranslationResult:
     """Run Algorithm TDQM on an arbitrary query.
 
@@ -111,47 +110,31 @@ def tdqm_translate(
     untraced runs against a :class:`MappingSpecification` (a bare matcher
     has no version identity to key on).  Never mutate a result obtained
     through a cache — it is shared by reference.
-
-    ``interpret=True`` forces the interpreted matcher walk and bypasses
-    the cache entirely, so the run shares no memoized state with the
-    compiled path — the equivalence oracle of :mod:`repro.perf.compile`
-    and the escape hatch if a rule's tail turns out to be impure.
     """
-    if (
-        cache is not None
-        and trace is None
-        and not interpret
-        and isinstance(spec, MappingSpecification)
-    ):
+    if cache is not None and trace is None and isinstance(spec, MappingSpecification):
         return cache.tdqm(query, spec)
     if not obs.enabled():
-        return _translate(query, spec, trace, interpret)
+        return _translate(query, spec, trace)
     with obs.span("tdqm"):
-        return _translate(query, spec, trace, interpret)
+        return _translate(query, spec, trace)
 
 
 def _translate(
     query: Query,
     spec: MappingSpecification | Matcher,
     trace: list[str] | None,
-    interpret: bool = False,
 ) -> TranslationResult:
     query = normalize(query)
-    if isinstance(spec, MappingSpecification):
-        matcher = spec.matcher(interpret=interpret)
-    else:
-        matcher = spec
+    matcher = spec.matcher() if isinstance(spec, MappingSpecification) else spec
     matcher.potential(query.constraints())  # prematch M_p once (Section 7.1.3)
     stats = TdqmStats()
     mapping, exact = _tdqm(query, matcher, stats, trace, 0)
     return TranslationResult(mapping=mapping, exact=exact, stats=stats)
 
 
-def tdqm(
-    query: Query, spec: MappingSpecification | Matcher, *, interpret: bool = False
-) -> Query:
+def tdqm(query: Query, spec: MappingSpecification | Matcher) -> Query:
     """``TDQM(Q, K)``: the minimal subsuming mapping of an arbitrary query."""
-    return tdqm_translate(query, spec, interpret=interpret).mapping
+    return tdqm_translate(query, spec).mapping
 
 
 def _tdqm(
@@ -180,7 +163,7 @@ def _tdqm(
             stats.constraint_slots += len(query.constraints())
         result = scm_translate(query, matcher)
         if trace is not None:
-            note(f"case 3 (SCM, {matcher.mode} dispatch): {query}")
+            note(f"case 3 (SCM): {query}")
             for matching in result.all_matchings:
                 kept = "keep" if matching in result.kept_matchings else "drop"
                 group = " ∧ ".join(sorted(str(c) for c in matching.constraints))
@@ -211,8 +194,8 @@ def _tdqm(
         stats.psafe_calls += 1
         partition = psafe(list(query.children), matcher)
         if trace is not None:
-            note(f"case 2 (∧-node, {len(query.children)} conjuncts, "
-                 f"{matcher.mode} dispatch): calling PSafe")
+            note(f"case 2 (∧-node, {len(query.children)} conjuncts): "
+                 f"calling PSafe")
             for m in partition.cross_matchings:
                 group = ", ".join(sorted(str(c) for c in m.constraints))
                 note(f"  cross-matching: {{{group}}}")

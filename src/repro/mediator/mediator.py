@@ -119,13 +119,8 @@ class Mediator:
         view_virtuals: Mapping[str, Virtual] | None = None,
         translation_cache: TranslationCache | None = _DEFAULT_CACHE,  # type: ignore[assignment]
         resilience: ResilienceConfig | None = None,
-        interpret: bool = False,
     ):
         self.views = dict(views)
-        # interpret=True runs every translation on the interpreted matcher
-        # and bypasses the translation cache — the repro.perf.compile
-        # escape hatch / equivalence oracle, at mediator granularity.
-        self.interpret = interpret
         # With a resilience config every source sits behind its own
         # SourceAdapter (deadline + retry + breaker); without one the
         # sources are used as given and mediation is byte-identical to
@@ -174,7 +169,6 @@ class Mediator:
             view_virtuals=self.view_virtuals,
             translation_cache=self.translation_cache,
             resilience=resilience,
-            interpret=self.interpret,
         )
 
     # -- query analysis --------------------------------------------------------
@@ -275,12 +269,7 @@ class Mediator:
                 for component in choice:
                     involved |= component.sources()
                 specs = {name: self.specs[name] for name in sorted(involved)}
-                plan = build_filter(
-                    query,
-                    specs,
-                    cache=self.translation_cache,
-                    interpret=self.interpret,
-                )
+                plan = build_filter(query, specs, cache=self.translation_cache)
                 plans.append(plan)
                 choice_rows, choice_outcomes = self._run_choice(
                     query, plan, instances, components
@@ -289,14 +278,7 @@ class Mediator:
                 outcomes.extend(choice_outcomes)
             if not plans:
                 # Constant query over zero instances: nothing to execute.
-                plans.append(
-                    build_filter(
-                        query,
-                        self.specs,
-                        cache=self.translation_cache,
-                        interpret=self.interpret,
-                    )
-                )
+                plans.append(build_filter(query, self.specs, cache=self.translation_cache))
                 if evaluate(plans[0].filter, RowEnv({}, self.view_virtuals)):
                     rows.append(())
             complete = all(outcome.ok for outcome in outcomes)
@@ -502,9 +484,7 @@ class Mediator:
             parse_query(query) if isinstance(query, str) else query
             for query in queries
         ]
-        return translate_batch(
-            parsed, selected, cache=self.translation_cache, interpret=self.interpret
-        )
+        return translate_batch(parsed, selected, cache=self.translation_cache)
 
     # -- verification ------------------------------------------------------------
 

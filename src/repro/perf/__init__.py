@@ -8,9 +8,6 @@ that repetition into an order-of-magnitude win:
 * :func:`query_fingerprint` — a canonical fingerprint of a normalized
   query, invariant under ∧/∨ commutativity and join re-orientation; the
   cache key ingredient;
-* :func:`intern_query` — hash-consing: structurally equal ASTs collapse
-  to one shared object per process, so equality, canonicalization, and
-  fingerprinting become (memoized) identity checks;
 * :class:`CompiledRuleIndex` — a per-specification attribute→rule
   inverted index plus per-rule head signatures, so the matcher probes
   only rules whose heads can bind the constraint group instead of
@@ -18,8 +15,8 @@ that repetition into an order-of-magnitude win:
   attaches it automatically);
 * :func:`compile_rule` / :class:`CompiledRule` — each rule's pattern,
   conditions, and emit template compiled into Python closures at
-  spec-load time; the matcher dispatches through them by default, with
-  ``interpret=True`` as the escape hatch and equivalence oracle;
+  spec-load time; every indexed matcher dispatches through them, and the
+  linear ``Matcher(spec.rules)`` walk is the oracle tests compare them to;
 * :class:`TranslationCache` — an LRU memo of whole translations keyed by
   (algorithm, specification name, specification *version*, fingerprint);
   specification mutation bumps the version stamp, so stale entries can
@@ -35,13 +32,6 @@ from repro.perf.cache import CacheStats, TranslationCache, translate_batch
 from repro.perf.compile import CompiledRule, compile_rule
 from repro.perf.fingerprint import canonical_form, query_fingerprint
 from repro.perf.index import CompiledRuleIndex
-from repro.perf.intern import (
-    clear_intern_table,
-    intern_constraint,
-    intern_query,
-    intern_stats,
-    is_interned,
-)
 
 __all__ = [
     "CacheStats",
@@ -49,12 +39,7 @@ __all__ = [
     "CompiledRuleIndex",
     "TranslationCache",
     "canonical_form",
-    "clear_intern_table",
     "compile_rule",
-    "intern_constraint",
-    "intern_query",
-    "intern_stats",
-    "is_interned",
     "query_fingerprint",
     "translate_batch",
 ]

@@ -362,8 +362,6 @@ def translate_batch(
     queries: Sequence[Query],
     specs: Mapping[str, MappingSpecification],
     cache: TranslationCache | None = None,
-    *,
-    interpret: bool = False,
 ) -> "list[dict[str, TranslationResult]]":
     """Translate many queries for many specifications, sharing the setup.
 
@@ -372,10 +370,6 @@ def translate_batch(
     built once up front, and all translations funnel through one
     :class:`TranslationCache` — so duplicate queries in the batch, and
     queries seen by an earlier batch using the same cache, cost a lookup.
-
-    ``interpret=True`` skips the cache and runs every translation on the
-    interpreted matcher (the :mod:`repro.perf.compile` oracle), so the
-    results share no memoized state with compiled runs.
 
     Returns one ``{spec name: TranslationResult}`` dict per input query,
     in input order.
@@ -388,13 +382,6 @@ def translate_batch(
         for name in sorted(specs):
             spec = specs[name]
             spec.compiled_index()  # build once, before the query loop
-            if interpret:
-                from repro.core.tdqm import tdqm_translate
-
-                matcher = spec.matcher(interpret=True)
-                for i, query in enumerate(prepared):
-                    out[i][name] = tdqm_translate(query, matcher)
-                continue
             for i, (query, fingerprint) in enumerate(zip(prepared, fingerprints)):
                 out[i][name] = cache.tdqm_prepared(query, fingerprint, spec)
         return out

@@ -28,13 +28,13 @@ every compiled closure and memo built from the old rule set.
 Bit-identity: for any pool sequence, :meth:`CompiledRule.matchings`
 returns exactly what ``match_rule`` returns — same matchings, same
 discovery order, same deduplication, same error behaviour (property-
-tested against the interpreted oracle in ``tests/test_compile_properties.
-py``, which the ``interpret=`` escape hatch keeps reachable end to end).
+tested against the linear ``Matcher(spec.rules)`` oracle in
+``tests/test_compile_properties.py``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from repro.core.ast import AttrRef, Constraint, Query
 from repro.core.errors import RuleError
@@ -223,7 +223,8 @@ class CompiledRule:
         ``pools[i]`` must contain only constraints admitted by pattern
         ``i``'s head signature, in universe order — exactly what
         :meth:`~repro.perf.index.CompiledRuleIndex.pools` produces.
-        Bit-identical to ``match_rule(rule, ordered, pools=pools)``.
+        Bit-identical to ``match_rule(rule, ordered)`` over the universe
+        the pools were screened from.
         """
         results: list[Matching] = []
         memo = self._memo

@@ -49,8 +49,7 @@ def canonical_form(query: Query) -> str:
     normalizes for you.
 
     The form is a pure function of the (immutable) node, so it is memoized
-    per node — on hash-consed trees (:mod:`repro.perf.intern`) every
-    distinct shape is canonicalized once per process.
+    per node.
     """
     try:
         return query._canon

@@ -22,7 +22,7 @@ per specification *version*:
 Correctness: the screen is exactly the one ``match_rule`` applies via
 ``_quick_compatible`` — the index changes *which rules are probed*, never
 what a probed rule returns, so matchings are bit-identical with and
-without it (property-tested in ``tests/test_perf_properties.py``).
+without it (property-tested in ``tests/test_compile_properties.py``).
 
 Staleness: the index pins the specification version it was built from;
 probing after an ``add_rule``/``remove_rule`` raises
@@ -46,11 +46,6 @@ if TYPE_CHECKING:
     from repro.rules.spec import MappingSpecification
 
 __all__ = ["HeadSignature", "CompiledRuleIndex"]
-
-#: Bound on the per-index universe -> prematch memo; long-lived serving
-#: processes see a finite set of hot universes, adversarial streams just
-#: lose warmth when the table recycles.
-_PREMATCH_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -111,7 +106,6 @@ class CompiledRuleIndex:
         "_wildcard",
         "_by_attr",
         "_compiled",
-        "_prematch",
     )
 
     def __init__(self, spec: MappingSpecification):
@@ -150,11 +144,6 @@ class CompiledRuleIndex:
         # tooling that never matches.  Sharing the index's lifetime pins
         # every closure and memo to this specification version.
         self._compiled: list[CompiledRule | None] = [None] * len(self._rules)
-        # Whole-prematch memo for compiled dispatch: constraint universe ->
-        # M_p.  Valid because rules are pure and the rule set is pinned to
-        # this version; every fresh per-translation Matcher over the same
-        # universe re-derives the identical matching list.
-        self._prematch: dict[frozenset[Constraint], tuple] = {}
 
     # -- introspection ---------------------------------------------------------
 
@@ -263,29 +252,6 @@ class CompiledRuleIndex:
             compiled = compile_rule(self._rules[rule_id])
             self._compiled[rule_id] = compiled
         return compiled
-
-    def prematch_get(self, universe: "frozenset[Constraint]") -> "tuple | None":
-        """The memoized prematch ``M_p`` for ``universe``, if computed.
-
-        Compiled dispatch only (the interpreted walk stays memo-free by
-        design — it is the equivalence oracle).
-        """
-        self.check_fresh()
-        found = self._prematch.get(universe)
-        if obs.enabled():
-            obs.count(
-                "perf.compile.prematch.hits"
-                if found is not None
-                else "perf.compile.prematch.misses"
-            )
-        return found
-
-    def prematch_store(self, universe: "frozenset[Constraint]", matchings: "list") -> None:
-        """Memoize the prematch for ``universe`` (bounded, clear-on-full)."""
-        self.check_fresh()
-        if len(self._prematch) >= _PREMATCH_CAP:
-            self._prematch.clear()
-        self._prematch[universe] = tuple(matchings)
 
     def precompile(self) -> int:
         """Compile every rule now (spec-load / serve warm-up path).

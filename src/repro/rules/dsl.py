@@ -35,7 +35,7 @@ remain plain callables and nothing else inspects the attribute.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from repro.core.ast import AttrRef, Query
 from repro.core.errors import RuleError

@@ -170,18 +170,16 @@ class MappingSpecification:
         self._bump_version()
         return removed
 
-    def matcher(self, *, interpret: bool = False) -> Matcher:
+    def matcher(self) -> Matcher:
         """A fresh :class:`Matcher` over this specification's rules.
 
         Each translation call should use its own matcher so the prematch
         cache is scoped to one query's constraint universe.  The matcher
         carries the specification's compiled rule index, so it probes
-        only rules whose heads can bind the constraint group — through
-        their compiled closures by default, or the interpreted pattern
-        walk with ``interpret=True`` (the equivalence oracle; see
-        :mod:`repro.perf.compile`).
+        only rules whose heads can bind the constraint group, through
+        their compiled closures (:mod:`repro.perf.compile`).
         """
-        return Matcher(self.rules, index=self.compiled_index(), interpret=interpret)
+        return Matcher(self.rules, index=self.compiled_index())
 
     def get_rule(self, name: str) -> Rule:
         try:

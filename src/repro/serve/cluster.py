@@ -56,7 +56,6 @@ from repro.core.parser import parse_query
 from repro.obs.metrics import aggregate_scorecards
 from repro.perf.fingerprint import query_fingerprint
 from repro.serve.protocol import (
-    OPS,
     decode_line,
     encode_response,
     error_response,
@@ -112,9 +111,6 @@ class ClusterConfig:
     #: Resilience flags forwarded to each worker's mediator
     #: (plain data: ``timeout``/``retries``/``backoff``/``strict``/``faults``).
     resilience_args: dict | None = None
-    #: Force interpreted matching in every worker (the compiled-path
-    #: escape hatch; see :mod:`repro.perf.compile`).
-    interpret: bool = False
     #: Virtual nodes per shard on the routing ring.
     ring_replicas: int = 64
     #: Seconds to wait for one worker to boot and report its port.
@@ -317,7 +313,6 @@ class ClusterServer:
                 "snapshot_limit": self.config.snapshot_limit,
                 "metrics": self.config.metrics,
                 "resilience_args": self.config.resilience_args,
-                "interpret": self.config.interpret,
             },
             daemon=True,
         )

@@ -52,7 +52,6 @@ from repro.core.normalize import normalize
 from repro.core.parser import parse_query
 from repro.obs import trace as obs
 from repro.perf.fingerprint import query_fingerprint
-from repro.perf.intern import intern_query
 from repro.serve.singleflight import SingleFlight
 
 if TYPE_CHECKING:
@@ -204,14 +203,9 @@ class MediationService:
     # -- request preparation --------------------------------------------------
 
     def _prepare(self, query: "Query | str") -> tuple[Query, str]:
-        """Parse/intern/normalize once; the fingerprint keys the single-flight.
-
-        Interning first means repeat queries share one AST, so the
-        normalize/fingerprint memos (:mod:`repro.perf.intern`) hit on the
-        shared node and this whole step collapses to dictionary lookups.
-        """
+        """Parse/normalize once; the fingerprint keys the single-flight."""
         parsed = parse_query(query) if isinstance(query, str) else query
-        prepared = normalize(intern_query(parsed))
+        prepared = normalize(parsed)
         return prepared, query_fingerprint(prepared, normalized=True)
 
     def _single_flight(self, key: tuple, fn):
@@ -246,7 +240,7 @@ class MediationService:
             def run() -> "dict[str, TranslationResult]":
                 with self._execution_slot(), obs.span("serve.translate"):
                     cache = self.mediator.translation_cache
-                    if cache is None or self.mediator.interpret:
+                    if cache is None:
                         return self.mediator.translate_many(
                             [prepared], sources=list(names)
                         )[0]
@@ -353,8 +347,7 @@ class MediationService:
             if old_spec.content_digest == new_spec.content_digest:
                 report.update(changed=False, invalidated=0)
                 return report
-            if not self.mediator.interpret:
-                new_spec.compiled_index().precompile()
+            new_spec.compiled_index().precompile()
             replacement = dict(specs)
             for source in sources:
                 replacement[source] = new_spec

@@ -47,7 +47,6 @@ from repro.core.json_io import query_from_json, query_to_json
 from repro.core.tdqm import TdqmStats, TranslationResult
 from repro.obs import trace as obs
 from repro.perf.cache import TranslationCache
-from repro.perf.intern import intern_query
 from repro.rules.spec import MappingSpecification
 
 __all__ = [
@@ -267,11 +266,8 @@ def _check_fresh(
 def _restore_entry(
     cache: TranslationCache, spec: MappingSpecification, entry: dict
 ) -> bool:
-    # Intern the deserialized mapping: restored entries then share
-    # subtrees with live translations (and with each other), so a warm
-    # worker's cache is as compact as one that translated from scratch.
     result = TranslationResult(
-        mapping=intern_query(query_from_json(entry["mapping"])),
+        mapping=query_from_json(entry["mapping"]),
         exact=bool(entry["exact"]),
         stats=TdqmStats(**entry["stats"]),
     )

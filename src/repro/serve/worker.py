@@ -49,18 +49,12 @@ def snapshot_path(snapshot_dir: str, shard_id: int) -> str:
     return os.path.join(snapshot_dir, f"shard-{shard_id}.json")
 
 
-def _build_mediator(
-    spec_names: tuple[str, ...],
-    resilience_args: dict | None,
-    *,
-    interpret: bool = False,
-):
+def _build_mediator(spec_names: tuple[str, ...], resilience_args: dict | None):
     from repro.obs.stats import builtin_mediator
 
     mediator = builtin_mediator(set(spec_names))
     if mediator is None:
         raise ValueError(f"{sorted(spec_names)} does not name a built-in scenario")
-    mediator.interpret = interpret
     if resilience_args:
         from repro.resilience import FaultPolicy, ResilienceConfig, RetryPolicy
 
@@ -155,7 +149,6 @@ def worker_main(
     snapshot_limit: int | None = None,
     metrics: bool = False,
     resilience_args: dict | None = None,
-    interpret: bool = False,
 ) -> None:
     """Entry point of one spawned worker process (blocking).
 
@@ -175,16 +168,13 @@ def worker_main(
             # this shard's registry, exactly like single-process
             # `repro serve --metrics`.
             registry = obs.install(obs.MetricsRegistry())
-        mediator = _build_mediator(
-            tuple(spec_names), resilience_args, interpret=interpret
-        )
+        mediator = _build_mediator(tuple(spec_names), resilience_args)
         service = MediationService(mediator, service_config, metrics=registry)
-        if not interpret:
-            # Compile every rule closure now, before the first request —
-            # the boot cost buys first-request latency (and snapshot
-            # restores below land against warm indexes).
-            for spec in mediator.specs.values():
-                spec.compiled_index().precompile()
+        # Compile every rule closure now, before the first request —
+        # the boot cost buys first-request latency (and snapshot
+        # restores below land against warm indexes).
+        for spec in mediator.specs.values():
+            spec.compiled_index().precompile()
 
         timer: SnapshotTimer | None = None
         restore_report = None

@@ -156,8 +156,8 @@ class _Compound(TextPattern):
 
     def __repr__(self) -> str:
         # Structural, like the leaf dataclasses' reprs: query fingerprints
-        # and intern keys render values with repr, so it must be exactly
-        # the equality key (NearPat's window included).
+        # render values with repr, so it must be exactly the equality key
+        # (NearPat's window included).
         return f"{type(self).__name__}{self._key()!r}"
 
     def iter_words(self) -> Iterator[str]:

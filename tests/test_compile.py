@@ -1,45 +1,26 @@
 """Unit tests for the compiled translate hot path (repro.perf.compile).
 
-Three layers under test:
+Two layers under test:
 
-* **interning** (``repro.perf.intern``) — hash-consing collapses equal
-  shapes to one weakly-held object per process, never changing equality;
 * **compiled rules** (``repro.perf.compile``) — per-rule closures with a
   per-assignment memo, bit-identical to the interpreted ``match_rule``;
-* **the ``interpret=`` escape hatch** — threads from the CLI through the
-  Mediator down to ``Matcher``, bypassing every compiled-path memo so it
-  can serve as the equivalence oracle.
+* **compiled dispatch** — ``spec.matcher()`` runs the closures through
+  the specification's index, and answers exactly what the linear
+  ``Matcher(spec.rules)`` oracle answers.
 """
 
 from __future__ import annotations
 
-import gc
-
 import pytest
 
-from repro.cli import main
-from repro.core.ast import C, conj, disj
+from repro.core.ast import C
 from repro.core.errors import RuleError, StaleIndexError
-from repro.core.explain import explain_translation
-from repro.core.matching import Matcher, RejectMatch, match_rule
-from repro.core.parser import parse_query
+from repro.core.matching import Matcher, match_rule
 from repro.core.tdqm import tdqm_translate
-from repro.perf import (
-    TranslationCache,
-    clear_intern_table,
-    compile_rule,
-    intern_constraint,
-    intern_query,
-    intern_stats,
-    is_interned,
-)
-from repro.rules import K_AMAZON, builtin_specifications
-from repro.rules.dsl import V, cpat, rule, table_lookup, value_is
-from repro.workloads.generator import (
-    simple_conjunction,
-    synthetic_spec,
-    vocabulary,
-)
+from repro.perf import compile_rule
+from repro.rules import builtin_specifications
+from repro.rules.dsl import V, cpat, rule, table_lookup
+from repro.workloads.generator import synthetic_spec, vocabulary
 from repro.workloads.paper_queries import example1_query, figure2_q1, qbook
 
 ATTRS = vocabulary(8)
@@ -49,58 +30,6 @@ def _fresh_spec(name="K_compile_test"):
     return synthetic_spec(
         groups=[("a0", "a1")], singletons=ATTRS, name=name
     )
-
-
-class TestIntern:
-    def setup_method(self):
-        clear_intern_table()
-
-    def test_equal_parses_become_one_object(self):
-        text = '[ln = "Clancy"] and ([fn = "Tom"] or [pyear = 1994])'
-        first = intern_query(parse_query(text))
-        second = intern_query(parse_query(text))
-        assert first is second
-        assert is_interned(first)
-
-    def test_interning_preserves_equality(self):
-        query = parse_query('[a = 1] and not [b = 2]')
-        assert intern_query(query) == query
-
-    def test_subtrees_are_shared(self):
-        shared = '[ln = "Clancy"] or [fn = "Tom"]'
-        left = intern_query(parse_query(f'{shared} and [pyear = 1994]'))
-        right = intern_query(parse_query(f'{shared} and [pyear = 2001]'))
-        assert left.children[0] is right.children[0]
-
-    def test_commuted_trees_stay_distinct(self):
-        # a ∧ b and b ∧ a are equal *theories* but different trees; the
-        # interner must not conflate them (that is the fingerprint's job).
-        ab = intern_query(conj([C("a", "=", 1), C("b", "=", 2)]))
-        ba = intern_query(conj([C("b", "=", 2), C("a", "=", 1)]))
-        assert ab is not ba
-
-    def test_constraint_interning(self):
-        one = intern_constraint(C("ln", "=", "Clancy"))
-        two = intern_constraint(C("ln", "=", "Clancy"))
-        assert one is two
-
-    def test_table_is_weak(self):
-        query = intern_query(parse_query('[zz_unique = 901] and [zz_other = 902]'))
-        nodes_live = intern_stats()["nodes"]
-        del query
-        gc.collect()
-        assert intern_stats()["nodes"] < nodes_live
-
-    def test_stats_count_hits_and_misses(self):
-        before = intern_stats()
-        # Hold the first result: the table is weak, so a discarded node
-        # would be collected before the second call could hit it.
-        held = intern_query(C("fresh_attr", "=", "v1"))
-        again = intern_query(C("fresh_attr", "=", "v1"))
-        assert again is held
-        after = intern_stats()
-        assert after["misses"] == before["misses"] + 1
-        assert after["hits"] >= before["hits"] + 1
 
 
 class TestCompiledRule:
@@ -162,18 +91,12 @@ class TestCompiledRule:
 
 
 class TestMatcherModes:
-    def test_mode_property(self):
-        spec = _fresh_spec()
-        assert spec.matcher().mode == "compiled"
-        assert spec.matcher(interpret=True).mode == "interpreted"
-        assert Matcher(spec.rules).mode == "interpreted"
-
     def test_compiled_equals_interpreted_on_builtins(self):
         queries = [example1_query(), figure2_q1(), qbook()]
         for spec in builtin_specifications().values():
             for query in queries:
                 compiled = tdqm_translate(query, spec.matcher())
-                oracle = tdqm_translate(query, spec.matcher(interpret=True))
+                oracle = tdqm_translate(query, Matcher(spec.rules))
                 assert compiled == oracle, (spec.name, str(query))
 
     def test_compiled_matcher_goes_stale_on_mutation(self):
@@ -191,87 +114,10 @@ class TestMatcherModes:
         # A matcher rebuilt from the spec sees the new rule set.
         assert spec.matcher().potential(universe)
 
-    def test_prematch_memo_round_trip(self):
-        spec = _fresh_spec("K_prematch")
-        index = spec.compiled_index()
-        universe = frozenset(simple_conjunction(ATTRS, 0).constraints())
-        first = Matcher(spec.rules, index=index).potential(universe)
-        assert index.prematch_get(universe) is not None
-        second = Matcher(spec.rules, index=index).potential(universe)
-        assert [str(m.emission) for m in second] == [
-            str(m.emission) for m in first
-        ]
-
-    def test_interpreted_dispatch_skips_prematch_memo(self):
-        spec = _fresh_spec("K_prematch_oracle")
-        index = spec.compiled_index()
-        universe = frozenset([C("a5", "=", 3)])
-        Matcher(spec.rules, index=index, interpret=True).potential(universe)
-        # The oracle must not share memoized state with the compiled path.
-        assert index.prematch_get(universe) is None
-
     def test_precompile_builds_every_closure(self):
         spec = _fresh_spec("K_precompile")
         index = spec.compiled_index()
         assert index.precompile() == len(spec.rules)
-
-
-class TestInterpretEscapeHatch:
-    QUERY = '[ln = "Clancy"] and [fn = "Tom"]'
-
-    def test_tdqm_interpret_is_bit_identical(self):
-        query = parse_query(self.QUERY)
-        assert tdqm_translate(query, K_AMAZON, interpret=True) == tdqm_translate(
-            query, K_AMAZON
-        )
-
-    def test_interpret_bypasses_translation_cache(self):
-        query = parse_query(self.QUERY)
-        cache = TranslationCache()
-        tdqm_translate(query, K_AMAZON, cache=cache, interpret=True)
-        tdqm_translate(query, K_AMAZON, cache=cache, interpret=True)
-        stats = cache.stats
-        assert stats.hits == 0 and stats.misses == 0 and stats.size == 0
-
-    def test_mediator_interpret_flag_propagates(self):
-        from repro.obs.stats import builtin_mediator
-
-        baseline = builtin_mediator({"K_Amazon"})
-        oracle = builtin_mediator({"K_Amazon"})
-        oracle.interpret = True
-        from repro.resilience import ResilienceConfig
-
-        assert oracle.with_resilience(ResilienceConfig()).interpret is True
-        got = oracle.translate_many([self.QUERY])[0]
-        want = baseline.translate_many([self.QUERY])[0]
-        assert {name: r.mapping for name, r in got.items()} == {
-            name: r.mapping for name, r in want.items()
-        }
-
-    def test_explain_labels_dispatch_mode(self):
-        query = parse_query(self.QUERY)
-        compiled = explain_translation(query, K_AMAZON)
-        interpreted = explain_translation(query, K_AMAZON, interpret=True)
-        assert "dispatch     : compiled" in compiled
-        assert "dispatch     : interpreted" in interpreted
-        assert "compiled dispatch" in compiled
-        assert "interpreted dispatch" in interpreted
-
-        # Identical apart from the path labels and trace timings.
-        def normalize(text):
-            import re
-
-            return re.sub(r"\d+\.\d+", "X", text.replace("compiled", "interpreted"))
-
-        assert normalize(compiled) == normalize(interpreted)
-
-    def test_cli_interpret_flag(self, capsys):
-        assert main(["translate", "K_Amazon", self.QUERY]) == 0
-        compiled_out = capsys.readouterr().out
-        assert main(["translate", "K_Amazon", self.QUERY, "--interpret"]) == 0
-        assert capsys.readouterr().out == compiled_out
-        assert main(["explain", "K_Amazon", self.QUERY, "--interpret"]) == 0
-        assert "interpreted" in capsys.readouterr().out
 
 
 class TestStatsCounters:
@@ -279,13 +125,9 @@ class TestStatsCounters:
         from repro.obs.export import counters_table
         from repro.obs.stats import collect_stats
 
-        # A value no other test translates: K_Amazon's index is a
-        # process-wide singleton, so a shared universe would be served
-        # from the prematch memo and skip the dispatch counters.
         report = collect_stats(
             '[ln = "StatsCounterProbe"] and [fn = "Unique"]',
             {"K_Amazon": builtin_specifications()["K_Amazon"]},
         )
         table = "\n".join(counters_table(report.tracer))
         assert "perf.compile.dispatches" in table
-        assert "perf.compile.prematch.misses" in table

@@ -1,20 +1,20 @@
-"""Property-based tests: compiled dispatch == the interpreted oracle.
+"""Property-based tests: compiled dispatch == the linear oracle.
 
 The contract of :mod:`repro.perf.compile` is **bit-identity**: for any
-specification and any query, translating through the compiled rule
-closures returns exactly what the interpreted ``match_rule`` walk
-returns — same mapping, same exactness, same matchings, in the same
-order.  ``Matcher(..., interpret=True)`` keeps the interpreted walk
-reachable on the identical candidate pools, so the property can be
-stated directly:
+specification and any query, translating through ``spec.matcher()`` —
+the rule index plus the compiled rule closures — returns exactly what
+``Matcher(spec.rules)`` returns, the paper's Fig. 4 walk of
+``match_rule`` over every rule: same mapping, same exactness, same
+matchings, in the same order.
 
 * random ∧/∨ queries against random specs (single- and multi-pattern
-  rules) translate identically on both paths;
+  rules) translate identically on both paths, and their prematch ``M_p``
+  lists are equal matching by matching;
 * rules that emit negations (``Not`` nodes) and rules vetoing emissions
   a target :class:`~repro.engine.capabilities.Capability` cannot express
   (the ``RejectMatch`` path) behave identically on both paths;
 * the equality holds at scale: generated specifications with 1k and 10k
-  rules (the serve-fleet regime the prematch memo is sized for).
+  rules, including a second pass served by the warm closure memos.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.core.ast import C, conj, disj, neg
 from repro.core.matching import Matcher
 from repro.core.tdqm import tdqm_translate
 from repro.engine.capabilities import Capability
+from repro.obs import trace as obs
 from repro.rules.dsl import V, cpat, rule, value_is
 from repro.rules.spec import MappingSpecification
 from repro.workloads.generator import (
@@ -43,9 +44,13 @@ query_seeds = st.integers(min_value=0, max_value=10_000)
 spec_seeds = st.integers(min_value=0, max_value=200)
 
 
+def _ordered(matchings):
+    return [(m.rule_name, m.constraints, m.emission, m.exact) for m in matchings]
+
+
 def _assert_bit_identical(query, spec: MappingSpecification) -> None:
     compiled = tdqm_translate(query, spec.matcher())
-    oracle = tdqm_translate(query, spec.matcher(interpret=True))
+    oracle = tdqm_translate(query, Matcher(spec.rules))
     assert compiled == oracle, f"{spec.name}: {query}"
 
 
@@ -65,14 +70,11 @@ def test_compiled_matchings_equal_interpreted(qseed, sseed):
     spec = random_spec(ATTRS, pair_count=3, seed=sseed)
     query = random_query(ATTRS, seed=qseed, n_constraints=8, max_depth=4)
     universe = frozenset(query.constraints())
-    index = spec.compiled_index()
 
-    compiled = Matcher(spec.rules, index=index, interpret=False).potential(universe)
-    oracle = Matcher(spec.rules, index=index, interpret=True).potential(universe)
+    compiled = spec.matcher().potential(universe)
+    oracle = Matcher(spec.rules).potential(universe)
 
-    assert [
-        (m.rule_name, m.constraints, str(m.emission), m.exact) for m in compiled
-    ] == [(m.rule_name, m.constraints, str(m.emission), m.exact) for m in oracle]
+    assert _ordered(compiled) == _ordered(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +141,8 @@ def test_capability_veto_actually_fires_on_both_paths():
     allowed = conj([C("a7", "=", 2)])
     vetoed = conj([C("a7", "=", 3)])
     assert "t_cap" in str(tdqm_translate(allowed, spec.matcher()).mapping)
-    for interpret in (False, True):
-        result = tdqm_translate(vetoed, spec.matcher(interpret=interpret))
+    for matcher in (spec.matcher(), Matcher(spec.rules)):
+        result = tdqm_translate(vetoed, matcher)
         assert "t_blocked" not in str(result.mapping)
     _assert_bit_identical(vetoed, spec)
 
@@ -179,18 +181,16 @@ def test_bit_identity_at_scale(big_spec):
 
 
 def test_prematch_memo_consistent_at_scale(big_spec):
-    # A repeat universe is served from the index's prematch memo; the
-    # memoized answer must equal both a fresh compiled dispatch and the
-    # interpreted oracle.
+    # The second compiled pass over a universe is served by the rules'
+    # warm per-assignment closure memos; it must equal both the first
+    # pass and the linear oracle.
     spec, attrs = big_spec
-    index = spec.compiled_index()
     universe = frozenset(simple_conjunction(attrs[:8], 5).constraints())
 
-    first = Matcher(spec.rules, index=index).potential(universe)
-    memoized = Matcher(spec.rules, index=index).potential(universe)
-    oracle = Matcher(spec.rules, index=index, interpret=True).potential(universe)
+    first = spec.matcher().potential(universe)
+    with obs.tracing("warm") as tracer:
+        warm = spec.matcher().potential(universe)
+    oracle = Matcher(spec.rules).potential(universe)
 
-    def key(matchings):
-        return [(m.rule_name, m.constraints, str(m.emission)) for m in matchings]
-
-    assert key(memoized) == key(first) == key(oracle)
+    assert tracer.counters["perf.compile.memo_hits"] >= len(warm) > 0
+    assert _ordered(warm) == _ordered(first) == _ordered(oracle)

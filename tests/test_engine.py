@@ -22,11 +22,14 @@ from repro.core.ast import (
     disj,
 )
 from repro.core.errors import CapabilityError, EvaluationError, SchemaError
+from repro.core.matching import Matcher, Rule
 from repro.core.parser import parse_query
+from repro.core.subsume import empirical_equivalent, empirical_subsumes
 from repro.engine.capabilities import Capability
 from repro.engine.eval import RowEnv, compile_predicate, evaluate, evaluate_row
 from repro.engine.relation import Relation
 from repro.engine.source import Source
+from repro.rules.dsl import attr_in, rule
 from repro.text import TextCapability
 
 
@@ -56,6 +59,24 @@ class TestRelation:
     def test_type_hints_resolve(self):
         hints = typing.get_type_hints(Relation.__iter__)
         assert hints["return"] == Iterator[dict]
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        Matcher.potential,
+        Matcher.matchings,
+        Rule,
+        empirical_subsumes,
+        empirical_equivalent,
+        rule,
+        attr_in,
+    ],
+    ids=lambda target: target.__qualname__,
+)
+def test_annotation_names_resolve(target):
+    # Every name an annotation uses is imported by its module.
+    assert typing.get_type_hints(target)
 
 
 class TestRowEnv:

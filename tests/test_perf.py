@@ -20,7 +20,6 @@ from repro.perf import (
     query_fingerprint,
     translate_batch,
 )
-from repro.perf.intern import intern_query
 from repro.rules import builtin_specifications
 from repro.workloads.generator import (
     simple_conjunction,
@@ -87,11 +86,12 @@ class TestFingerprint:
     )
     def test_compound_text_patterns_fingerprint_by_structure(self, pattern):
         # Compound patterns render by structure, not by object address:
-        # two parses of one text share a fingerprint and an interned node.
+        # two parses of one text are equal and share a fingerprint.
         text = f"[ti contains {pattern}]"
         first, second = parse_query(text), parse_query(text)
         assert query_fingerprint(first) == query_fingerprint(second)
-        assert intern_query(first) is intern_query(second)
+        assert first == second
+        assert hash(first) == hash(second)
 
     def test_compound_text_patterns_differ_by_words_and_window(self):
         texts = [

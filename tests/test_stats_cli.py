@@ -32,9 +32,9 @@ def _normalize_times(text: str) -> str:
 class TestStatsCommand:
     def test_qbook_golden(self, capsys):
         # The golden pins a *cold-start* run.  K_Amazon's compiled index
-        # is a process-wide singleton whose prematch memo other tests
-        # may have warmed for this very query; detach it so the counter
-        # set (perf.compile.*) matches a fresh process.
+        # is a process-wide singleton whose rule closures and their memos
+        # other tests may have built for this very query; detach it so
+        # the counter set (perf.compile.*) matches a fresh process.
         object.__setattr__(K_AMAZON, "_compiled_index", None)
         assert main(["stats", "K_Amazon", QBOOK]) == 0
         got = _normalize_times(capsys.readouterr().out)

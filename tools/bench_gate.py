@@ -25,7 +25,9 @@ Refreshing baselines (after an intentional perf change)::
 
     REPRO_BENCH_QUICK=1 python -m pytest benchmarks/bench_scm_scaling.py \
         benchmarks/bench_tdqm_vs_dnf.py benchmarks/bench_mediator.py \
-        benchmarks/bench_cache.py --benchmark-disable -q
+        benchmarks/bench_cache.py benchmarks/bench_analysis.py \
+        benchmarks/bench_resilience.py benchmarks/bench_serve.py \
+        --benchmark-disable -q
     python tools/bench_gate.py --update-baseline
     git add benchmarks/results/baseline/
 
