@@ -456,6 +456,7 @@ def _serve_cluster(args) -> int:
 def _cmd_serve(args) -> int:
     from repro.obs.stats import builtin_mediator
     from repro.serve import MediationService, ServiceConfig, serve_jsonl, serve_tcp
+    from repro.serve.worker import start_snapshots
 
     names = set(args.specs.split(","))
     mediator = builtin_mediator(names)
@@ -490,37 +491,19 @@ def _cmd_serve(args) -> int:
         # service feeds its histograms/slowlog through the same registry.
         metrics = obs.install(obs.MetricsRegistry())
     service = MediationService(mediator, config, metrics=metrics)
-
-    timer = None
-    restore_banner = ""
-    if args.snapshot_dir is not None and mediator.translation_cache is not None:
-        import os as _os
-
-        from repro.serve.snapshot import SnapshotTimer, restore_snapshot, specs_by_name
-        from repro.serve.worker import snapshot_path
-
-        specs = specs_by_name(mediator.specs)
-        path = snapshot_path(args.snapshot_dir, 0)
-        if _os.path.exists(path):
-            try:
-                report = restore_snapshot(path, mediator.translation_cache, specs)
-            except ValueError as exc:
-                raise SystemExit(f"serve: {exc}") from None
-            restore_banner = f", {report.restored} cached translations restored"
-        try:
-            timer = SnapshotTimer(
-                path,
-                mediator.translation_cache,
-                specs,
-                interval=args.snapshot_interval,
-                limit=args.snapshot_limit,
-            ).start()
-        except ValueError as exc:
-            raise SystemExit(f"serve: {exc}") from None
-    if timer is not None:
-        # Hot reloads repoint the snapshot table at the new spec object
-        # so the timer never keeps exporting under a retired digest.
-        service.reload_hooks.append(timer.update_spec)
+    try:
+        timer, restored = start_snapshots(
+            service,
+            args.snapshot_dir,
+            0,
+            interval=args.snapshot_interval,
+            limit=args.snapshot_limit,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"serve: {exc}") from None
+    restore_banner = (
+        f", {restored.restored} cached translations restored" if restored else ""
+    )
 
     watcher = None
     if args.watch_registry:

@@ -37,16 +37,9 @@ class DNFMapResult:
 
 
 def dnf_map_translate(
-    query: Query, spec: MappingSpecification | Matcher, *, cache=None
+    query: Query, spec: MappingSpecification | Matcher
 ) -> DNFMapResult:
-    """Run Algorithm DNF, returning the mapping and work counters.
-
-    ``cache`` (a :class:`repro.perf.TranslationCache`) memoizes whole
-    results exactly as for :func:`repro.core.tdqm.tdqm_translate` —
-    consulted only when ``spec`` is a :class:`MappingSpecification`.
-    """
-    if cache is not None and isinstance(spec, MappingSpecification):
-        return cache.dnf(query, spec)
+    """Run Algorithm DNF, returning the mapping and work counters."""
     query = normalize(query)
     matcher = spec.matcher() if isinstance(spec, MappingSpecification) else spec
     # Prematch once over the full constraint set so per-disjunct matching

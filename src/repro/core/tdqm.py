@@ -95,8 +95,6 @@ def tdqm_translate(
     query: Query,
     spec: MappingSpecification | Matcher,
     trace: list[str] | None = None,
-    *,
-    cache=None,
 ) -> TranslationResult:
     """Run Algorithm TDQM on an arbitrary query.
 
@@ -104,15 +102,9 @@ def tdqm_translate(
     (case taken, partitions, rewrites, matchings) is appended to it — the
     machinery behind :func:`repro.core.explain.explain_translation`.
 
-    ``cache`` (a :class:`repro.perf.TranslationCache`) memoizes whole
-    translations keyed by the query's canonical fingerprint and the
-    specification's name + version stamp.  It is consulted only for
-    untraced runs against a :class:`MappingSpecification` (a bare matcher
-    has no version identity to key on).  Never mutate a result obtained
-    through a cache — it is shared by reference.
+    For a cached translation call
+    :meth:`TranslationCache.tdqm <repro.perf.TranslationCache.tdqm>`.
     """
-    if cache is not None and trace is None and isinstance(spec, MappingSpecification):
-        return cache.tdqm(query, spec)
     if not obs.enabled():
         return _translate(query, spec, trace)
     with obs.span("tdqm"):

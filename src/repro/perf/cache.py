@@ -6,7 +6,8 @@ queries against the same specifications constantly.  Translation is pure
 so whole results can be memoized:
 
 * **Key** — ``(algorithm, specification name, specification version,
-  content digest, query fingerprint)``.  The version stamp is bumped by
+  content digest, query fingerprint)``; the algorithm tag is always
+  ``"tdqm"``.  The version stamp is bumped by
   every ``add_rule``/``remove_rule``, so entries built against an
   outdated rule set can never be served; the content digest
   (:attr:`~repro.rules.MappingSpecification.content_digest`) guards the
@@ -15,9 +16,9 @@ so whole results can be memoized:
   can legitimately carry the same ``(name, version)`` with different
   rules.  The fingerprint collapses ∧/∨ commutativity and join
   orientation (see :mod:`repro.perf.fingerprint`).
-* **Value** — the full :class:`~repro.core.tdqm.TranslationResult` /
-  :class:`~repro.core.dnf_mapper.DNFMapResult`, shared by reference
-  (results are immutable in practice: never mutate a cached result).
+* **Value** — the full :class:`~repro.core.tdqm.TranslationResult`,
+  shared by reference (results are immutable in practice: never mutate
+  a cached result).
 * **Eviction** — least-recently-used beyond ``maxsize`` entries.
 
 The cache is **thread-safe**: an internal :class:`threading.RLock`
@@ -52,7 +53,6 @@ from repro.perf.fingerprint import query_fingerprint
 from repro.rules.spec import MappingSpecification
 
 if TYPE_CHECKING:
-    from repro.core.dnf_mapper import DNFMapResult
     from repro.core.tdqm import TranslationResult
 
 __all__ = ["CacheStats", "TranslationCache", "translate_batch"]
@@ -150,10 +150,6 @@ class TranslationCache:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: _Key) -> bool:
-        with self._lock:
-            return key in self._entries
-
     @property
     def stats(self) -> CacheStats:
         """A consistent snapshot of hit/miss/eviction/size counters."""
@@ -167,15 +163,6 @@ class TranslationCache:
                 maxsize=self.maxsize,
                 coalesced=self._coalesced,
             )
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._invalidations += dropped
-            self._entries.clear()
-        if dropped:
-            obs.count("perf.cache.invalidations", dropped)
 
     def invalidate(self, spec: MappingSpecification | str | None = None) -> int:
         """Eagerly drop entries for ``spec`` (by name), or all when ``None``.
@@ -200,25 +187,6 @@ class TranslationCache:
         return dropped
 
     # -- the LRU core ----------------------------------------------------------
-
-    def _lookup(self, key: _Key) -> object:
-        with self._lock:
-            return self._lookup_locked(key)
-
-    def _lookup_locked(self, key: _Key) -> object:
-        entry = self._entries.get(key, _MISS)
-        if entry is _MISS:
-            self._misses += 1
-            obs.count("perf.cache.misses")
-            return _MISS
-        self._entries.move_to_end(key)
-        self._hits += 1
-        obs.count("perf.cache.hits")
-        return entry
-
-    def _store(self, key: _Key, value: object) -> None:
-        with self._lock:
-            self._store_locked(key, value)
 
     def _store_locked(self, key: _Key, value: object) -> None:
         self._entries[key] = value
@@ -275,24 +243,19 @@ class TranslationCache:
 
     # -- export / import (snapshot support) ------------------------------------
 
-    def export_entries(
-        self, limit: int | None = None, *, algos: tuple[str, ...] = ("tdqm",)
-    ) -> list[tuple[_Key, object]]:
+    def export_entries(self, limit: int | None = None) -> list[tuple[_Key, object]]:
         """The hottest entries, most-recently-used first.
 
         The snapshot layer (:mod:`repro.serve.snapshot`) persists these
         so a restarted worker starts warm.  ``limit`` bounds the export
-        to the hottest entries; ``algos`` filters by algorithm tag
-        (snapshots carry TDQM results — the serving hot path).  The
-        export is a consistent point-in-time copy: keys and value
-        references are captured under the cache lock, and cached values
-        are immutable by contract.
+        to the hottest entries.  The export is a consistent
+        point-in-time copy: keys and value references are captured under
+        the cache lock, and cached values are immutable by contract.
         """
         with self._lock:
             items = list(self._entries.items())
         items.reverse()  # OrderedDict iterates cold-first; snapshots want hot-first
-        out = [(key, value) for key, value in items if key[0] in algos]
-        return out if limit is None else out[:limit]
+        return items if limit is None else items[:limit]
 
     def import_entry(self, key: _Key, value: object) -> bool:
         """Seed one entry without touching the hit/miss counters.
@@ -332,30 +295,6 @@ class TranslationCache:
         return self._get_or_compute(  # type: ignore[return-value]
             key, lambda: tdqm_translate(normalized_query, spec)
         )
-
-    def dnf(self, query: Query, spec: MappingSpecification) -> "DNFMapResult":
-        """Cached :func:`repro.core.dnf_mapper.dnf_map_translate`."""
-        from repro.core.dnf_mapper import dnf_map_translate
-
-        prepared = normalize(query)
-        key = (
-            "dnf",
-            spec.name,
-            spec.version,
-            spec.content_digest,
-            query_fingerprint(prepared, normalized=True),
-        )
-        return self._get_or_compute(  # type: ignore[return-value]
-            key, lambda: dnf_map_translate(prepared, spec)
-        )
-
-    def translate_batch(
-        self,
-        queries: Sequence[Query],
-        specs: Mapping[str, MappingSpecification],
-    ) -> "list[dict[str, TranslationResult]]":
-        """:func:`translate_batch` through this cache (method form)."""
-        return translate_batch(queries, specs, cache=self)
 
 
 def translate_batch(

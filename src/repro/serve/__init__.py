@@ -2,13 +2,13 @@
 
 ``repro.serve`` is the front door for the ROADMAP's "heavy traffic"
 target: many client threads, one shared :class:`MediationService` over
-one :class:`~repro.mediator.Mediator`.  The service deduplicates
-identical in-flight requests (single-flight by canonical query
-fingerprint), batches compatible work through the shared
-:class:`~repro.perf.TranslationCache`, and applies admission control —
-a bounded queue plus a max-concurrency semaphore with a fast
-:class:`Overloaded` rejection — while exporting queue-depth and latency
-gauges through :mod:`repro.obs`.
+one :class:`~repro.mediator.Mediator`.  The service answers through the
+shared :class:`~repro.perf.TranslationCache` (whose own single-flight
+lets concurrent identical misses share one translation), batches
+compatible work through it, and applies admission control — a bounded
+queue plus a max-concurrency semaphore with a fast :class:`Overloaded`
+rejection — while exporting queue-depth and latency gauges through
+:mod:`repro.obs`.
 
 Transports (JSON-lines over stdin or TCP) live in
 :mod:`repro.serve.server` and power the ``repro serve`` CLI command.
@@ -45,7 +45,6 @@ from repro.serve.protocol import (
 from repro.serve.router import HashRing
 from repro.serve.server import serve_jsonl, serve_tcp
 from repro.serve.service import MediationService, Overloaded, ServiceConfig
-from repro.serve.singleflight import SingleFlight
 from repro.serve.snapshot import (
     RestoreReport,
     SnapshotReport,
@@ -65,7 +64,6 @@ __all__ = [
     "Overloaded",
     "RestoreReport",
     "ServiceConfig",
-    "SingleFlight",
     "SnapshotReport",
     "SnapshotTimer",
     "decode_line",

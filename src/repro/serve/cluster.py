@@ -12,8 +12,8 @@ shared-nothing process sharding:
   processes** (:mod:`repro.serve.worker`), each running a private
   :class:`~repro.serve.MediationService` with its own
   :class:`~repro.perf.TranslationCache` shard.
-* Because a fingerprint always lands on the same shard, request
-  coalescing and cache accounting stay exactly as correct as in one
+* Because a fingerprint always lands on the same shard, the cache's
+  own single-flight and its accounting stay exactly as correct as in one
   process — there are no cross-process locks to take, and responses are
   bit-identical to single-process mode.
 * When a worker dies, its ring segment **fails over** to the next live
@@ -77,8 +77,8 @@ FRONTEND_OPS = ("stats", "shards", "drain", "restart", "snapshot",
                 "health", "metrics", "sources", "slowlog", "reload")
 
 #: Worker counters summed into the aggregated ``stats`` op.
-_SUMMED_STATS = ("requests", "completed", "rejected", "coalesced", "errors",
-                 "reloads", "in_flight")
+_SUMMED_STATS = ("requests", "completed", "rejected", "errors", "reloads",
+                 "in_flight")
 _SUMMED_CACHE = ("hits", "misses", "evictions", "invalidations", "coalesced", "size")
 
 
@@ -111,8 +111,6 @@ class ClusterConfig:
     #: Resilience flags forwarded to each worker's mediator
     #: (plain data: ``timeout``/``retries``/``backoff``/``strict``/``faults``).
     resilience_args: dict | None = None
-    #: Virtual nodes per shard on the routing ring.
-    ring_replicas: int = 64
     #: Seconds to wait for one worker to boot and report its port.
     boot_timeout: float = 60.0
 
@@ -122,6 +120,10 @@ class ClusterConfig:
         if self.snapshot_interval < 0:
             raise ValueError(
                 f"snapshot_interval must be >= 0, got {self.snapshot_interval}"
+            )
+        if self.snapshot_limit is not None and self.snapshot_limit < 0:
+            raise ValueError(
+                f"snapshot_limit must be >= 0, got {self.snapshot_limit}"
             )
 
 
@@ -209,7 +211,7 @@ class ClusterServer:
         self.host = host
         self.port = port
         self.shards = [_Shard(i) for i in range(config.processes)]
-        self.ring = HashRing(range(config.processes), replicas=config.ring_replicas)
+        self.ring = HashRing(range(config.processes))
         self._memo = _FingerprintMemo()
         self._mp = multiprocessing.get_context("spawn")
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -454,7 +456,7 @@ class ClusterServer:
         """The consistent-hash key for one request.
 
         Parseable queries route by canonical fingerprint (the invariant
-        coalescing and cache warmth rest on); everything else routes by
+        cache sharing and warmth rest on); everything else routes by
         a deterministic fallback so the owning worker can produce the
         exact single-process error response.
         """

@@ -2,19 +2,19 @@
 
 The cluster front-end (:mod:`repro.serve.cluster`) is shared-nothing:
 each worker process owns a private :class:`~repro.perf.TranslationCache`
-shard, and correctness of request coalescing plus cache warmth both rest
-on one invariant — *the same canonical query fingerprint always lands on
-the same shard*.  A :class:`HashRing` provides that invariant with the
-two extra properties a cluster needs:
+shard, and both cache sharing and cache warmth rest on one invariant —
+*the same canonical query fingerprint always lands on the same shard*.
+A :class:`HashRing` provides that invariant with the two extra
+properties a cluster needs:
 
 * **Stability under membership change** — shards are placed on a ring
   via many virtual points; when one shard dies (or is draining for a
   rolling restart), only the keys it owned move, each to the next live
   shard clockwise.  The other shards' cache working sets are untouched.
-* **Determinism** — placement depends only on the shard ids and the
-  replica count, never on process identity or startup order, so a
-  restarted front-end routes exactly like its predecessor and a restored
-  cache snapshot stays on the shard that will receive its fingerprints.
+* **Determinism** — placement depends only on the shard ids, never on
+  process identity or startup order, so a restarted front-end routes
+  exactly like its predecessor and a restored cache snapshot stays on
+  the shard that will receive its fingerprints.
 
 Keys are the hex fingerprints of :func:`repro.perf.query_fingerprint`
 (any hex string works); the ring hashes its own points with SHA-256, so
@@ -30,6 +30,10 @@ from collections.abc import Collection, Iterable, Sequence
 
 __all__ = ["HashRing"]
 
+#: Virtual points per shard.  64 keeps the max/min shard load within ~2x
+#: for random keys, at a few KiB of ring state.
+REPLICAS = 64
+
 
 def _point(label: str) -> int:
     """Ring position of one virtual node label (64-bit, uniform)."""
@@ -39,26 +43,22 @@ def _point(label: str) -> int:
 class HashRing:
     """A consistent-hash ring over integer shard ids.
 
-    ``replicas`` virtual points per shard smooth the key distribution
-    (64 keeps the max/min shard load within ~2x for random keys, at a
-    few KiB of ring state).  The ring itself is immutable; liveness is a
+    :data:`REPLICAS` virtual points per shard smooth the key
+    distribution.  The ring itself is immutable; liveness is a
     *query-time* concern — pass the currently routable shards to
     :meth:`route` and dead or draining shards are skipped in ring order.
     """
 
-    def __init__(self, shard_ids: Sequence[int], replicas: int = 64):
+    def __init__(self, shard_ids: Sequence[int]):
         if not shard_ids:
             raise ValueError("HashRing needs at least one shard id")
         if len(set(shard_ids)) != len(shard_ids):
             raise ValueError(f"duplicate shard ids: {sorted(shard_ids)}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.shard_ids = tuple(shard_ids)
-        self.replicas = replicas
         points = [
             (_point(f"shard:{shard}:vnode:{replica}"), shard)
             for shard in shard_ids
-            for replica in range(replicas)
+            for replica in range(REPLICAS)
         ]
         points.sort()
         self._points = [point for point, _ in points]

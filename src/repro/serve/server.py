@@ -2,8 +2,8 @@
 
 Both transports speak the protocol in :mod:`repro.serve.protocol` and
 share one :class:`~repro.serve.MediationService`, so every connection
-and every pipelined line benefits from the same translation cache,
-single-flight table, and admission budget.
+and every pipelined line benefits from the same translation cache and
+admission budget.
 
 * :func:`serve_jsonl` — read requests line-by-line from a file object
   (stdin in the CLI), dispatch them on a worker pool, write responses
@@ -121,7 +121,7 @@ class _JsonLinesHandler(socketserver.StreamRequestHandler):
         """Dispatch this connection's lines on a pool; serialize writes.
 
         Pipelined clients (the cluster front-end) get intra-connection
-        concurrency — request coalescing and overlapping source waits —
+        concurrency — shared cache misses and overlapping source waits —
         at the cost of response ordering, which they recover via ``id``.
         Every line still yields exactly one response line.
         """

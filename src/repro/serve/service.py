@@ -2,24 +2,25 @@
 
 Many client threads call :meth:`~MediationService.translate` /
 :meth:`~MediationService.mediate` against one shared service.  The
-service layers three serving disciplines over the mediation pipeline:
+service layers two serving disciplines over the mediation pipeline:
 
 * **Admission control** — at most ``max_concurrency`` requests execute
   at once (a semaphore) and at most ``queue_depth`` more may wait; a
   request beyond that is rejected *immediately* with :class:`Overloaded`
   rather than queued without bound — the fast-failure contract a client
   with its own deadline needs.
-* **Single-flight deduplication** — identical in-flight requests (same
-  operation, same canonical query fingerprint, same options) run the
-  pipeline once; concurrent duplicates wait and receive the identical
-  result object.  Combined with the (also single-flighted)
-  :class:`~repro.perf.TranslationCache` this collapses request
-  stampedes end to end.
 * **Batching** — :meth:`translate_batch` routes a list of queries
-  through :meth:`TranslationCache.translate_batch
-  <repro.perf.TranslationCache.translate_batch>` under one admission
-  slot, sharing normalization, fingerprints, and compiled rule indexes
-  across the whole batch.
+  through :func:`repro.perf.translate_batch` under one admission slot,
+  sharing normalization, fingerprints, and compiled rule indexes across
+  the whole batch.
+
+Concurrent identical work is shared one layer down: every translation
+goes through the mediator's :class:`~repro.perf.TranslationCache`,
+keyed by spec name, version, content digest and query fingerprint, and
+concurrent misses on one key run a single translation (single-flight).
+Keying on the spec's identity is what keeps a request admitted after a
+:meth:`~MediationService.reload_spec` from joining work started under
+the retired rules.
 
 Everything is observable: the service emits ``serve.*`` counters and
 queue-depth/latency gauges through :mod:`repro.obs`, and
@@ -52,7 +53,6 @@ from repro.core.normalize import normalize
 from repro.core.parser import parse_query
 from repro.obs import trace as obs
 from repro.perf.fingerprint import query_fingerprint
-from repro.serve.singleflight import SingleFlight
 
 if TYPE_CHECKING:
     from repro.core.tdqm import TranslationResult
@@ -104,8 +104,7 @@ class MediationService:
     """A thread-safe serving layer over one :class:`~repro.mediator.Mediator`.
 
     Share one instance across all client threads — the whole point is
-    the shared translation cache, the shared single-flight table, and
-    the shared admission budget.
+    the shared translation cache and the shared admission budget.
     """
 
     def __init__(
@@ -123,14 +122,12 @@ class MediationService:
         #: similar bookkeeping here.
         self.reload_hooks: list = []
         self._slots = threading.Semaphore(self.config.max_concurrency)
-        self._flights = SingleFlight()
         self._lock = threading.Lock()
         self._reload_lock = threading.Lock()
         self._admitted = 0
         self._requests = 0
         self._completed = 0
         self._rejected = 0
-        self._coalesced = 0
         self._errors = 0
         self._reloads = 0
         self._queue_high_water = 0
@@ -203,19 +200,10 @@ class MediationService:
     # -- request preparation --------------------------------------------------
 
     def _prepare(self, query: "Query | str") -> tuple[Query, str]:
-        """Parse/normalize once; the fingerprint keys the single-flight."""
+        """Parse/normalize once; the fingerprint keys the cache lookup."""
         parsed = parse_query(query) if isinstance(query, str) else query
         prepared = normalize(parsed)
         return prepared, query_fingerprint(prepared, normalized=True)
-
-    def _single_flight(self, key: tuple, fn):
-        """Run ``fn`` deduplicated by ``key``, counting coalesced joins."""
-        value, shared = self._flights.do(key, fn)
-        if shared:
-            with self._lock:
-                self._coalesced += 1
-            obs.count("serve.coalesced")
-        return value
 
     # -- operations -----------------------------------------------------------
 
@@ -224,9 +212,10 @@ class MediationService:
     ) -> "dict[str, TranslationResult]":
         """Translate one query for every (or the named) sources.
 
-        Concurrent identical requests share one translation run; repeat
-        requests hit the mediator's :class:`~repro.perf.TranslationCache`.
-        Returns ``{source name: TranslationResult}``.
+        Repeat requests hit the mediator's
+        :class:`~repro.perf.TranslationCache`, and concurrent identical
+        misses share one translation there.  Returns
+        ``{source name: TranslationResult}``.
         """
         info: dict = {}
         with self._admitted_request("translate", info):
@@ -234,43 +223,34 @@ class MediationService:
             info["fingerprint"] = fingerprint
             if isinstance(query, str):
                 info["query"] = query
-            names = tuple(sorted(sources if sources is not None else self.mediator.specs))
-            key = ("translate", fingerprint, names)
-
-            def run() -> "dict[str, TranslationResult]":
-                with self._execution_slot(), obs.span("serve.translate"):
-                    cache = self.mediator.translation_cache
-                    if cache is None:
-                        return self.mediator.translate_many(
-                            [prepared], sources=list(names)
-                        )[0]
-                    # Hot path: _prepare already normalized and
-                    # fingerprinted, so go straight to the shared cache
-                    # instead of re-deriving both in the batch pipeline.
-                    specs = self.mediator.specs
-                    unknown = set(names) - set(specs)
-                    if unknown:
-                        raise TranslationError(
-                            f"translate: unknown sources {sorted(unknown)}"
-                        )
-                    out: "dict[str, TranslationResult]" = {}
-                    for name in names:
-                        spec = specs[name]
-                        spec.compiled_index()
-                        out[name] = cache.tdqm_prepared(prepared, fingerprint, spec)
-                    return out
-
-            return self._single_flight(key, run)
+            names = sorted(sources if sources is not None else self.mediator.specs)
+            with self._execution_slot(), obs.span("serve.translate"):
+                cache = self.mediator.translation_cache
+                if cache is None:
+                    return self.mediator.translate_many([prepared], sources=names)[0]
+                # Hot path: _prepare already normalized and fingerprinted,
+                # so go straight to the shared cache instead of re-deriving
+                # both in the batch pipeline.
+                specs = self.mediator.specs
+                unknown = set(names) - set(specs)
+                if unknown:
+                    raise TranslationError(
+                        f"translate: unknown sources {sorted(unknown)}"
+                    )
+                out: "dict[str, TranslationResult]" = {}
+                for name in names:
+                    spec = specs[name]
+                    spec.compiled_index()
+                    out[name] = cache.tdqm_prepared(prepared, fingerprint, spec)
+                return out
 
     def mediate(
         self, query: "Query | str", *, strict: bool | None = None
     ) -> "MediatedAnswer":
         """Answer one query through the full Eq. 2 pipeline.
 
-        Concurrent identical requests (same fingerprint, same
-        strictness) share one mediation run and receive the identical
-        :class:`~repro.mediator.MediatedAnswer` object — treat it as
-        read-only, as with cached translations.
+        Every request scans its sources itself; the per-source
+        translations behind the filter come from the shared cache.
         """
         info: dict = {}
         with self._admitted_request("mediate", info):
@@ -278,13 +258,8 @@ class MediationService:
             info["fingerprint"] = fingerprint
             if isinstance(query, str):
                 info["query"] = query
-            key = ("mediate", fingerprint, strict)
-
-            def run() -> "MediatedAnswer":
-                with self._execution_slot(), obs.span("serve.mediate"):
-                    return self.mediator.answer_mediated(prepared, strict=strict)
-
-            return self._single_flight(key, run)
+            with self._execution_slot(), obs.span("serve.mediate"):
+                return self.mediator.answer_mediated(prepared, strict=strict)
 
     def translate_batch(
         self,
@@ -373,7 +348,6 @@ class MediationService:
                 "requests": self._requests,
                 "completed": completed,
                 "rejected": self._rejected,
-                "coalesced": self._coalesced,
                 "errors": self._errors,
                 "reloads": self._reloads,
                 "in_flight": self._admitted,

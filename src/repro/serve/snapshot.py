@@ -14,11 +14,8 @@ rule set must never be served against today's.  Cache keys embed
 therefore carry a **content digest** of each specification's declarative
 surface (:func:`spec_digest`), and :func:`restore_snapshot` re-keys
 entries under the live specification's current version stamp only when
-the digests match.  A mismatch raises the same
-:class:`~repro.core.errors.StaleIndexError` the compiled rule index uses
-for in-process staleness; the default (non-strict) restore catches it
-and discards that specification's entries, counting them in the
-:class:`RestoreReport`.
+the digests match.  On a mismatch the restore discards that
+specification's entries and counts them in the :class:`RestoreReport`.
 
 The digest covers what a specification *declares*: rule names, constraint
 patterns, docs, and static exactness flags.  A behavioral change hidden
@@ -42,7 +39,6 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.core.errors import StaleIndexError
 from repro.core.json_io import query_from_json, query_to_json
 from repro.core.tdqm import TdqmStats, TranslationResult
 from repro.obs import trace as obs
@@ -250,19 +246,6 @@ def write_snapshot(
     )
 
 
-def _check_fresh(
-    spec_name: str, snapshot_digest: str, spec: MappingSpecification
-) -> None:
-    """Raise :class:`StaleIndexError` when the live rule set diverged."""
-    live = spec_digest(spec)
-    if live != snapshot_digest:
-        raise StaleIndexError(
-            f"snapshot for specification {spec_name!r} was built against "
-            f"rule-set digest {snapshot_digest[:12]} but the live rule set "
-            f"is {live[:12]}; discarding its entries"
-        )
-
-
 def _restore_entry(
     cache: TranslationCache, spec: MappingSpecification, entry: dict
 ) -> bool:
@@ -285,19 +268,13 @@ def restore_snapshot(
     path: str | os.PathLike[str],
     cache: TranslationCache,
     specs: Mapping[str, MappingSpecification],
-    *,
-    strict: bool = False,
 ) -> RestoreReport:
     """Restore a snapshot into ``cache``, discarding stale sections.
 
     Entries are re-keyed under each live specification's current version
     stamp, so the normal invalidation machinery applies from the moment
     they land.  A section whose digest no longer matches the live rule
-    set raises :class:`StaleIndexError` internally; non-strict restores
-    (the default — what a booting worker wants) catch it, discard the
-    section, and report it in :attr:`RestoreReport.stale_specs`, while
-    ``strict=True`` propagates for callers that treat staleness as an
-    error.
+    set is discarded and reported in :attr:`RestoreReport.stale_specs`.
     """
     source = Path(path)
     raw = json.loads(source.read_text(encoding="utf-8"))
@@ -320,11 +297,7 @@ def restore_snapshot(
             if spec is None:
                 discarded_unknown += len(entries)
                 continue
-            try:
-                _check_fresh(spec_name, section.get("digest", ""), spec)
-            except StaleIndexError:
-                if strict:
-                    raise
+            if section.get("digest") != spec_digest(spec):
                 discarded_stale += len(entries)
                 stale_specs.append(spec_name)
                 continue
@@ -368,6 +341,8 @@ class SnapshotTimer:
     ):
         if interval < 0:
             raise ValueError(f"snapshot interval must be >= 0, got {interval}")
+        if limit is not None and limit < 0:
+            raise ValueError(f"snapshot limit must be >= 0, got {limit}")
         self.path = Path(path)
         self.cache = cache
         self.specs = dict(specs)

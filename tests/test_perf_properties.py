@@ -69,8 +69,8 @@ def test_cached_translation_bit_identical(qseed, sseed):
     query = random_query(ATTRS, seed=qseed, n_constraints=6, max_depth=3)
     cache = TranslationCache()
 
-    miss = tdqm_translate(query, spec, cache=cache)
-    hit = tdqm_translate(query, spec, cache=cache)
+    miss = cache.tdqm(query, spec)
+    hit = cache.tdqm(query, spec)
     direct = tdqm_translate(query, spec)
 
     assert hit is miss  # second call was a hit

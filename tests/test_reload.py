@@ -173,6 +173,48 @@ class TestReloadSpec:
         result = tdqm_translate(parse_query(QUERY), old_spec)
         assert "author-word" not in str(result.mapping)
 
+    def test_request_admitted_after_reload_gets_the_new_spec(self):
+        # Translate A is held inside its cache lookup, under the old
+        # spec, across a reload.  Translate B of the same query, admitted
+        # after reload_spec returned, must not wait for A or share its
+        # answer: it translates under the new rules.
+        service = make_service()
+        cache = service.mediator.translation_cache
+        real = cache.tdqm_prepared
+        calls = itertools.count()
+        entered = threading.Event()
+        release = threading.Event()
+
+        def held(*args):
+            if next(calls) == 0:
+                entered.set()
+                release.wait(timeout=10.0)
+            return real(*args)
+
+        cache.tdqm_prepared = held  # the instance attribute shadows the method
+        mappings: dict[str, object] = {}
+
+        def translate(label: str) -> None:
+            mappings[label] = service.translate(QUERY)["Amazon"].mapping
+
+        first = threading.Thread(target=translate, args=("A",))
+        first.start()
+        try:
+            assert entered.wait(timeout=10.0)
+            new_spec = spec_from_dict(WORD)
+            service.reload_spec(new_spec)
+            second = threading.Thread(target=translate, args=("B",))
+            second.start()
+            second.join(timeout=5.0)
+            assert not second.is_alive(), "B waited for the request admitted before the swap"
+            assert "A" not in mappings  # A is still held
+            assert mappings["B"] == tdqm_translate(parse_query(QUERY), new_spec).mapping
+        finally:
+            release.set()
+            first.join(timeout=10.0)
+        assert not first.is_alive()
+        assert "author-word" not in str(mappings["A"])  # A kept the rules it started with
+
 
 class TestReloadProtocol:
     def test_reload_with_inline_spec(self):

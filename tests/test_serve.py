@@ -6,7 +6,6 @@ import io
 import json
 import socket
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -19,7 +18,6 @@ from repro.serve import (
     MediationService,
     Overloaded,
     ServiceConfig,
-    SingleFlight,
     handle_line,
     handle_request,
     serve_jsonl,
@@ -56,79 +54,6 @@ def make_service(**config) -> MediationService:
     return MediationService(
         bookstore_mediator("amazon"), ServiceConfig(**config) if config else None
     )
-
-
-class TestSingleFlightPrimitive:
-    def test_sequential_calls_do_not_share(self):
-        flights = SingleFlight()
-        a, shared_a = flights.do("k", lambda: object())
-        b, shared_b = flights.do("k", lambda: object())
-        assert not shared_a and not shared_b
-        assert a is not b
-        assert len(flights) == 0
-
-    def test_concurrent_calls_share_the_leaders_result(self):
-        flights = SingleFlight()
-        release = threading.Event()
-        entered = threading.Event()
-        joining = threading.Event()
-
-        def compute():
-            entered.set()
-            release.wait(timeout=10.0)
-            return object()
-
-        results: list[tuple] = []
-        append_lock = threading.Lock()
-
-        def call(fn):
-            value = flights.do("k", fn)
-            with append_lock:
-                results.append(value)
-
-        def follow():
-            joining.set()
-            call(lambda: object())
-
-        leader = threading.Thread(target=call, args=(compute,))
-        leader.start()
-        assert entered.wait(timeout=10.0)  # leader holds the flight open
-        follower = threading.Thread(target=follow)
-        follower.start()
-        assert joining.wait(timeout=10.0)
-        time.sleep(0.05)  # let the follower reach the flight table
-        release.set()
-        leader.join(timeout=10.0)
-        follower.join(timeout=10.0)
-        assert len(results) == 2
-        values = {id(value) for value, _ in results}
-        assert len(values) == 1  # identical object for both callers
-        assert sorted(shared for _, shared in results) == [False, True]
-
-    def test_leader_error_propagates_to_followers(self):
-        flights = SingleFlight()
-        release = threading.Event()
-
-        def boom():
-            release.wait(timeout=10.0)
-            raise ValueError("nope")
-
-        errors: list[BaseException] = []
-
-        def call():
-            try:
-                flights.do("k", boom)
-            except ValueError as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=call) for _ in range(3)]
-        for t in threads:
-            t.start()
-        time.sleep(0.02)
-        release.set()
-        for t in threads:
-            t.join(timeout=10.0)
-        assert len(errors) == 3
 
 
 class TestServiceSemantics:
@@ -229,40 +154,6 @@ class TestAdmissionControl:
 
 
 class TestServiceSingleFlight:
-    def test_identical_inflight_mediations_coalesce(self):
-        service = make_service()
-        release = threading.Event()
-        entered = threading.Event()
-        calls: list[int] = []
-        real = service.mediator.answer_mediated
-
-        def slow_answer(query, strict=None):
-            calls.append(1)
-            entered.set()
-            release.wait(timeout=10.0)
-            return real(query, strict=strict)
-
-        service.mediator.answer_mediated = slow_answer  # type: ignore[method-assign]
-        results: list[object] = [None, None]
-
-        def client(i: int) -> None:
-            results[i] = service.mediate(QUERY)
-
-        first = threading.Thread(target=client, args=(0,))
-        first.start()
-        assert entered.wait(timeout=10.0)
-        second = threading.Thread(target=client, args=(1,))
-        second.start()
-        deadline = time.monotonic() + 10.0
-        while service.stats()["requests"] < 2 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        release.set()
-        first.join(timeout=10.0)
-        second.join(timeout=10.0)
-        assert sum(calls) == 1  # one pipeline run
-        assert results[0] is results[1]  # identical object to all waiters
-        assert service.stats()["coalesced"] == 1
-
     def test_commuted_duplicates_share_by_fingerprint(self):
         service = make_service()
         a = service.translate('[ln = "Clancy"] and [fn = "Tom"]')
@@ -302,12 +193,12 @@ class TestAcceptanceLoad:
                 assert served["Amazon"].mapping == serial[text].mapping
                 assert served["Amazon"].exact == serial[text].exact
         # ...with exact service and cache accounting (no lost updates):
-        # every non-coalesced request performs exactly one cache lookup.
+        # every request performs exactly one cache lookup.
         stats = service.stats()
         assert stats["requests"] == stats["completed"] == n_threads * rounds
         assert stats["rejected"] == 0 and stats["errors"] == 0
         cache = stats["cache"]
-        assert cache["hits"] + cache["misses"] == stats["requests"] - stats["coalesced"]
+        assert cache["hits"] + cache["misses"] == stats["requests"]
         assert cache["misses"] >= len(QUERIES)
 
 

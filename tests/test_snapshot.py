@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import StaleIndexError
 from repro.core.matching import Rule
 from repro.core.tdqm import tdqm_translate
 from repro.perf import TranslationCache
@@ -132,16 +131,6 @@ class TestSnapshotRoundTrip:
         assert restore.stale_specs == (spec.name,)
         assert fresh.stats.size == 0
 
-    def test_strict_restore_raises_stale_index_error(self, tmp_path):
-        spec = random_spec(ATTRS, pair_count=2, seed=4)
-        cache = TranslationCache()
-        warm(cache, spec, range(3))
-        path = tmp_path / "shard.json"
-        write_snapshot(path, cache, {spec.name: spec})
-        spec.remove_rule(spec.rules[0].name)
-        with pytest.raises(StaleIndexError):
-            restore_snapshot(path, TranslationCache(), {spec.name: spec}, strict=True)
-
     def test_unknown_spec_sections_are_discarded(self, tmp_path):
         spec = random_spec(ATTRS, pair_count=2, seed=5)
         cache = TranslationCache()
@@ -206,6 +195,11 @@ class TestSnapshotTimer:
     def test_rejects_negative_interval(self, tmp_path):
         with pytest.raises(ValueError):
             SnapshotTimer(tmp_path / "s.json", TranslationCache(), {}, interval=-1)
+
+    def test_rejects_negative_limit(self, tmp_path):
+        # A negative limit would slice off the coldest entries silently.
+        with pytest.raises(ValueError, match="limit"):
+            SnapshotTimer(tmp_path / "s.json", TranslationCache(), {}, limit=-1)
 
 
 class TestConcurrentWrites:
