@@ -351,11 +351,12 @@ def test_serve_cluster_scaling(report):
     """Shared-nothing process shards must scale past the GIL ceiling.
 
     One GIL-bound process serves the closed-loop TCP workload; the
-    cluster shards the identical workload shape across worker processes
-    by fingerprint.  Every query text is unique — each request pays a
-    full TDQM translation, the work that shards parallelize — and each
-    measurement run gets a fresh batch so the translation cache never
-    converts the workload into dict lookups mid-sweep.  Correctness is
+    cluster spreads the identical workload shape across worker processes,
+    each request to the least-loaded one.  Every query text is unique —
+    each request pays a full TDQM translation, the work that shards
+    parallelize — and each measurement run gets a fresh batch so the
+    translation cache never converts the workload into dict lookups
+    mid-sweep.  Correctness is
     asserted unconditionally — zero lost responses, byte-identical
     answers on the audited batch, exact aggregated stats — on any
     machine.  The throughput floors (>=1.7x at 2 workers, >=3x at 4)

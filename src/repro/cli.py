@@ -1088,8 +1088,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--processes",
         type=int,
         default=1,
-        help="TCP mode: shard across this many worker processes, routing "
-        "each query by consistent-hashed fingerprint (shared-nothing "
+        help="TCP mode: serve from this many worker processes, sending "
+        "each request to the one with the fewest in flight (shared-nothing "
         "caches; responses stay bit-identical to single-process mode)",
     )
     p.add_argument(

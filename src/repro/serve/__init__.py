@@ -13,12 +13,12 @@ rejection — while exporting queue-depth and latency gauges through
 Transports (JSON-lines over stdin or TCP) live in
 :mod:`repro.serve.server` and power the ``repro serve`` CLI command.
 
-Beyond one process, :class:`ClusterServer` shards the service across
+Beyond one process, :class:`ClusterServer` spreads the service across
 worker processes (``repro serve --processes N``): an asyncio front-end
-routes each request by consistent-hashing its query fingerprint
-(:class:`HashRing`) to a shared-nothing worker, and each worker persists
-its cache shard across restarts via :mod:`repro.serve.snapshot`
-(:func:`write_snapshot` / :func:`restore_snapshot`).
+sends each request to the shared-nothing worker with the fewest
+requests in flight, and each worker persists its cache shard across
+restarts via :mod:`repro.serve.snapshot` (:func:`write_snapshot` /
+:func:`restore_snapshot`).
 
 Specs are live artifacts: the ``reload`` protocol op (and
 :meth:`MediationService.reload_spec`) hot-swaps a published
@@ -42,7 +42,6 @@ from repro.serve.protocol import (
     handle_request,
     resolve_reload_specs,
 )
-from repro.serve.router import HashRing
 from repro.serve.server import serve_jsonl, serve_tcp
 from repro.serve.service import MediationService, Overloaded, ServiceConfig
 from repro.serve.snapshot import (
@@ -50,7 +49,6 @@ from repro.serve.snapshot import (
     SnapshotReport,
     SnapshotTimer,
     restore_snapshot,
-    spec_digest,
     write_snapshot,
 )
 from repro.serve.worker import worker_main
@@ -59,7 +57,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterError",
     "ClusterServer",
-    "HashRing",
     "MediationService",
     "Overloaded",
     "RestoreReport",
@@ -75,7 +72,6 @@ __all__ = [
     "restore_snapshot",
     "serve_jsonl",
     "serve_tcp",
-    "spec_digest",
     "worker_main",
     "write_snapshot",
 ]

@@ -1,27 +1,27 @@
-"""Multi-process serving: an asyncio front-end over sharded workers.
+"""Multi-process serving: an asyncio front-end over worker processes.
 
 The single-process :class:`~repro.serve.MediationService` is GIL-bound —
 bench_serve plateaus at ~3x over per-request translation no matter how
 many threads it spawns.  ``repro.serve.cluster`` breaks the ceiling with
-shared-nothing process sharding:
+shared-nothing worker processes:
 
 * An **asyncio front-end** (this module) accepts TCP/JSON-lines client
   connections — the same wire protocol as single-process ``repro serve``
-  — and routes each request by consistent-hashing its canonical query
-  fingerprint (:mod:`repro.serve.router`) to one of N **worker
-  processes** (:mod:`repro.serve.worker`), each running a private
+  — and sends each request to the live **worker process**
+  (:mod:`repro.serve.worker`) with the fewest requests in flight, ties
+  going to the lowest shard id.  Each worker runs a private
   :class:`~repro.serve.MediationService` with its own
   :class:`~repro.perf.TranslationCache` shard.
-* Because a fingerprint always lands on the same shard, the cache's
-  own single-flight and its accounting stay exactly as correct as in one
-  process — there are no cross-process locks to take, and responses are
-  bit-identical to single-process mode.
-* When a worker dies, its ring segment **fails over** to the next live
-  shard (those keys run cache-cold, nothing more); the dead shard's
-  in-flight requests are retried on the failover shard, so clients see
-  degraded latency, not errors.  :meth:`ClusterServer.restart_shard`
-  does the same dance deliberately — drain, final snapshot, respawn,
-  warm restore — for zero-loss rolling restarts.
+* Every worker holds the whole rule set and a translation depends only
+  on the query and that rule set, so any worker answers exactly as one
+  process would: responses are bit-identical to single-process mode,
+  with no cross-process locks.  The front-end never parses a query; a
+  ``batch`` goes to one worker whole.
+* When a worker dies, the requests it held are retried on the next
+  least-loaded live shard, so clients see degraded latency, not errors.
+  :meth:`ClusterServer.restart_shard` takes a shard out deliberately —
+  drain, final snapshot, respawn, warm restore — for zero-loss rolling
+  restarts.
 * Each worker persists its cache shard via
   :mod:`repro.serve.snapshot`, so a full cluster restart starts warm.
 
@@ -36,6 +36,11 @@ publish reaches every worker without losing a request or a warm cache
 entry for the unchanged specs.  ``health``/``sources``/``slowlog`` fan out and merge;
 ``metrics`` returns per-shard registry snapshots plus summed counters.
 
+Lines in both directions are bounded by
+:data:`~repro.serve.protocol.MAX_LINE_BYTES`: a longer client line gets
+one ``bad-request`` error, and a worker answers a response that would
+pass the bound with a ``response-too-large`` error instead.
+
 The event loop runs on a dedicated thread so the blocking CLI and the
 synchronous tests drive one :class:`ClusterServer` object the same way.
 """
@@ -46,31 +51,25 @@ import asyncio
 import json
 import multiprocessing
 import threading
-from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.normalize import normalize
-from repro.core.parser import parse_query
 from repro.obs.metrics import aggregate_scorecards
-from repro.perf.fingerprint import query_fingerprint
 from repro.serve.protocol import (
+    MAX_LINE_BYTES,
     decode_line,
     encode_response,
     error_response,
     resolve_reload_specs,
 )
-from repro.serve.router import HashRing
 from repro.serve.service import ServiceConfig
 from repro.serve.worker import worker_main
 
 __all__ = ["ClusterConfig", "ClusterServer", "ClusterError"]
 
-#: Longest JSON line (bytes, newline included) the front-end reads from a
-#: client or a shard.  asyncio's default of 64 KiB is smaller than one
-#: batch response; a shard line past this bound reads as a dead shard.
-MAX_LINE_BYTES = 16 * 1024 * 1024
+#: Seconds to wait for one worker to boot and report its port.
+BOOT_TIMEOUT = 60.0
 
 #: Ops the front-end answers itself (everything else goes to a shard).
 FRONTEND_OPS = ("stats", "shards", "drain", "restart", "snapshot",
@@ -111,8 +110,6 @@ class ClusterConfig:
     #: Resilience flags forwarded to each worker's mediator
     #: (plain data: ``timeout``/``retries``/``backoff``/``strict``/``faults``).
     resilience_args: dict | None = None
-    #: Seconds to wait for one worker to boot and report its port.
-    boot_timeout: float = 60.0
 
     def __post_init__(self) -> None:
         if self.processes < 1:
@@ -162,41 +159,6 @@ class _Shard:
         }
 
 
-class _FingerprintMemo:
-    """A tiny LRU of query text -> routing fingerprint.
-
-    The front-end must fingerprint every query to route it; on a warm
-    stream the same texts recur constantly, and this memo turns the
-    parse+normalize+hash into one dict hit.  ``None`` marks texts that
-    do not parse — they are routed by a fallback key and the owning
-    worker produces the exact single-process error response.
-    """
-
-    def __init__(self, maxsize: int = 4096):
-        self.maxsize = maxsize
-        self._entries: OrderedDict[str, str | None] = OrderedDict()
-
-    def get(self, text: str) -> str | None:
-        try:
-            fingerprint = self._entries[text]
-        except KeyError:
-            try:
-                fingerprint = query_fingerprint(
-                    normalize(parse_query(text)), normalized=True
-                )
-            except Exception:  # noqa: BLE001 - worker reproduces the error
-                fingerprint = None
-            self._entries[text] = fingerprint
-            if len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-            return fingerprint
-        self._entries.move_to_end(text)
-        return fingerprint
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class ClusterServer:
     """The multi-process ``repro serve`` front-end (see module docstring).
 
@@ -211,8 +173,6 @@ class ClusterServer:
         self.host = host
         self.port = port
         self.shards = [_Shard(i) for i in range(config.processes)]
-        self.ring = HashRing(range(config.processes))
-        self._memo = _FingerprintMemo()
         self._mp = multiprocessing.get_context("spawn")
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
@@ -245,7 +205,7 @@ class ClusterServer:
         )
         self._loop_thread.start()
         try:
-            self._run(self._async_start(), timeout=self.config.boot_timeout)
+            self._run(self._async_start(), timeout=BOOT_TIMEOUT)
         except Exception:
             self.stop()
             raise
@@ -321,10 +281,10 @@ class ClusterServer:
         process.start()
         child.close()
         try:
-            if not parent.poll(self.config.boot_timeout):
+            if not parent.poll(BOOT_TIMEOUT):
                 raise ClusterError(
                     f"shard {shard.shard_id}: worker did not report within "
-                    f"{self.config.boot_timeout}s"
+                    f"{BOOT_TIMEOUT}s"
                 )
             report = parent.recv()
         except EOFError:
@@ -452,40 +412,31 @@ class ClusterServer:
 
     # -- routing --------------------------------------------------------------
 
-    def _routing_key(self, request: dict) -> str:
-        """The consistent-hash key for one request.
+    async def _route(self, payload: dict, request: dict) -> dict:
+        """Send one request to the least-loaded routable shard.
 
-        Parseable queries route by canonical fingerprint (the invariant
-        cache sharing and warmth rest on); everything else routes by
-        a deterministic fallback so the owning worker can produce the
-        exact single-process error response.
+        Every worker holds the whole rule set, so any live one answers
+        exactly as one process would.  The shard with the fewest requests
+        in flight takes it, the lowest shard id on a tie; a shard that
+        dies mid-request is skipped and the next one is tried.
         """
-        query = request.get("query")
-        if isinstance(query, str):
-            fingerprint = self._memo.get(query)
-            if fingerprint is not None:
-                return fingerprint
-            return f"text:{query}"
-        return f"op:{request.get('op')!r}:{query!r}"
-
-    def _routable_ids(self) -> set[int]:
-        return {shard.shard_id for shard in self.shards if shard.routable}
-
-    async def _route(self, key: str, payload: dict, request: dict) -> dict:
-        """Dispatch to the key's owner, failing over along the ring."""
-        for shard_id in self.ring.preference(key):
-            shard = self.shards[shard_id]
-            if not shard.routable:
-                continue
+        tried: set[int] = set()
+        while True:
+            candidates = [
+                shard for shard in self.shards
+                if shard.routable and shard.shard_id not in tried
+            ]
+            if not candidates:
+                return error_response(
+                    request, "no-workers", "no live worker shard can take this request"
+                )
+            shard = min(candidates, key=lambda candidate: len(candidate.pending))
+            tried.add(shard.shard_id)
             shard.routed += 1
             try:
                 return await self._call_shard(shard, payload)
             except _ShardDied:
                 self.failovers += 1
-                continue
-        return error_response(
-            request, "no-workers", "no live worker shard can take this request"
-        )
 
     # -- client connections ---------------------------------------------------
 
@@ -499,9 +450,16 @@ class ClusterServer:
         tasks: set[asyncio.Task] = set()
         try:
             while True:
-                raw = await reader.readline()
-                if not raw:
-                    break
+                try:
+                    raw = await reader.readuntil(b"\n")
+                except asyncio.IncompleteReadError as exc:
+                    raw = exc.partial  # the last line may lack its newline
+                    if not raw:
+                        break
+                except asyncio.LimitOverrunError:
+                    await _discard_line(reader)
+                    await _send(writer, write_lock, _LINE_TOO_LONG)
+                    continue
                 text = raw.decode("utf-8", errors="replace").strip()
                 if not text or text.startswith("#"):
                     continue
@@ -532,13 +490,7 @@ class ClusterServer:
             response = error_response(
                 None, "internal-error", f"{type(exc).__name__}: {exc}"
             )
-        encoded = encode_response(response) + "\n"
-        try:
-            async with write_lock:
-                writer.write(encoded.encode("utf-8"))
-                await writer.drain()
-        except (ConnectionError, OSError):
-            pass
+        await _send(writer, write_lock, response)
 
     async def _handle_line(self, line: str) -> dict:
         request, decode_error = decode_line(line)
@@ -558,65 +510,16 @@ class ClusterServer:
             return response
         if op in FRONTEND_OPS:
             response = await self._frontend_op(op, request)
-        elif op == "batch":
-            response = await self._scatter_batch(payload, request)
         else:
-            # translate / mediate / unknown ops: the owning worker
+            # translate / mediate / batch / unknown ops: a worker
             # produces the exact single-process response (including the
             # unknown-op error listing the protocol's op table).
-            response = await self._route(self._routing_key(request), payload, request)
+            response = await self._route(payload, request)
         if client_id is not _MISSING:
             response["id"] = client_id
         else:
             response.pop("id", None)
         return response
-
-    # -- batch scatter/gather -------------------------------------------------
-
-    async def _scatter_batch(self, payload: dict, request: dict) -> dict:
-        queries = payload.get("queries")
-        if not isinstance(queries, list) or not all(
-            isinstance(q, str) for q in queries
-        ):
-            # Identical to the single-process validation error.
-            return error_response(
-                request, "bad-request", "'queries' must be a list of query strings"
-            )
-        keys = [self._memo.get(q) for q in queries]
-        if not queries or any(key is None for key in keys):
-            # Empty or unparseable batches go to one worker wholesale so
-            # error semantics (first bad query wins) match single-process.
-            return await self._route(
-                f"text:{queries[0] if queries else ''}", payload, request
-            )
-        by_shard: dict[int, list[int]] = {}
-        routable = self._routable_ids()
-        try:
-            for index, key in enumerate(keys):
-                assert key is not None
-                by_shard.setdefault(self.ring.route(key, routable), []).append(index)
-        except LookupError:
-            return error_response(
-                request, "no-workers", "no live worker shard can take this request"
-            )
-        parts = await asyncio.gather(
-            *(
-                self._route(
-                    keys[indexes[0]] or "",
-                    {**payload, "queries": [queries[i] for i in indexes]},
-                    request,
-                )
-                for indexes in by_shard.values()
-            )
-        )
-        merged: list[dict | None] = [None] * len(queries)
-        for indexes, part in zip(by_shard.values(), parts):
-            if not part.get("ok"):
-                part.pop("id", None)
-                return part
-            for position, result in zip(indexes, part["results"]):
-                merged[position] = result
-        return {"op": "batch", "ok": True, "results": merged}
 
     # -- front-end ops --------------------------------------------------------
 
@@ -699,7 +602,7 @@ class ClusterServer:
         """Coordinated rolling reload: drain -> swap -> precompile -> re-admit.
 
         Shards reload one at a time, so at every instant all-but-one
-        shard keeps serving (its requests fail over along the ring while
+        shard keeps serving (new requests go to the other shards while
         it drains, exactly like a rolling restart) and each response is
         computed wholly against the old or wholly against the new rule
         set — never a mix.  The worker-side swap precompiles the new
@@ -814,7 +717,6 @@ class ClusterServer:
             "requests": self.requests,
             "failovers": self.failovers,
             "worker_deaths": self.worker_deaths,
-            "fingerprint_memo": len(self._memo),
         }
         return aggregated
 
@@ -943,3 +845,39 @@ class ClusterServer:
 
 
 _MISSING = object()
+
+#: The one answer to a client line longer than MAX_LINE_BYTES.
+_LINE_TOO_LONG = error_response(
+    None,
+    "bad-request",
+    f"request line longer than MAX_LINE_BYTES ({MAX_LINE_BYTES} bytes)",
+)
+
+
+async def _discard_line(reader: asyncio.StreamReader) -> None:
+    """Drop the client's input through the end of the current line.
+
+    ``readuntil`` leaves an overlong line in the buffer; dropping only
+    what was buffered would hand the line's tail back as a new line.
+    """
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return
+
+
+async def _send(
+    writer: asyncio.StreamWriter, write_lock: asyncio.Lock, response: dict
+) -> None:
+    """Write one response line; a client that went away is not an error."""
+    encoded = encode_response(response) + "\n"
+    try:
+        async with write_lock:
+            writer.write(encoded.encode("utf-8"))
+            await writer.drain()
+    except (ConnectionError, OSError):
+        pass

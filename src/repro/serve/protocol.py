@@ -59,7 +59,8 @@ a metrics registry (``repro serve --metrics``); without one they answer
 Failures never tear the connection: every error becomes an
 ``{"ok": false, "error": {"type", "message"}}`` response.  An
 overloaded service answers ``type = "overloaded"`` immediately —
-clients treat it as back-pressure, not as a protocol error.
+clients treat it as back-pressure, not as a protocol error.  In cluster
+mode a line in either direction is bounded by :data:`MAX_LINE_BYTES`.
 """
 
 from __future__ import annotations
@@ -84,6 +85,13 @@ __all__ = [
     "handle_line",
     "resolve_reload_specs",
 ]
+
+#: Longest JSON line (bytes, newline included) a cluster reads, from a
+#: client or from a worker.  asyncio's default of 64 KiB is smaller than
+#: one batch response.  The front-end answers a longer client line with
+#: one ``bad-request`` error; a worker answers a response that would pass
+#: the bound with a ``response-too-large`` error instead.
+MAX_LINE_BYTES = 16 * 1024 * 1024
 
 #: Operations a request may name.
 OPS = (

@@ -31,6 +31,7 @@ import socketserver
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import IO
 
 from repro.serve.protocol import encode_response, error_response, handle_line
@@ -58,7 +59,6 @@ def serve_jsonl(
     outfile: IO[str],
     *,
     workers: int = 1,
-    line_handler: LineHandler | None = None,
 ) -> int:
     """Serve JSON-lines requests from ``infile`` until EOF.
 
@@ -67,7 +67,7 @@ def serve_jsonl(
     control.  Blank lines and ``#`` comments are skipped.  Returns the
     number of requests handled.
     """
-    handler: LineHandler = line_handler or (lambda line: handle_line(service, line))
+    handler: LineHandler = partial(handle_line, service)
     write_lock = threading.Lock()
     handled = 0
 

@@ -12,10 +12,11 @@ rule set must never be served against today's.  Cache keys embed
 :attr:`~repro.rules.MappingSpecification.version`, but that stamp is a
 *process-local* counter — meaningless across restarts.  Snapshots
 therefore carry a **content digest** of each specification's declarative
-surface (:func:`spec_digest`), and :func:`restore_snapshot` re-keys
-entries under the live specification's current version stamp only when
-the digests match.  On a mismatch the restore discards that
-specification's entries and counts them in the :class:`RestoreReport`.
+surface (:attr:`~repro.rules.MappingSpecification.content_digest`), and
+:func:`restore_snapshot` re-keys entries under the live specification's
+current version stamp only when the digests match.  On a mismatch the
+restore discards that specification's entries and counts them in the
+:class:`RestoreReport`.
 
 The digest covers what a specification *declares*: rule names, constraint
 patterns, docs, and static exactness flags.  A behavioral change hidden
@@ -52,7 +53,6 @@ __all__ = [
     "SnapshotTimer",
     "restore_snapshot",
     "snapshot_payload",
-    "spec_digest",
     "specs_by_name",
     "write_snapshot",
 ]
@@ -89,20 +89,6 @@ def specs_by_name(
     call site wants this mapping.
     """
     return {spec.name: spec for spec in specs.values()}
-
-
-def spec_digest(spec: MappingSpecification) -> str:
-    """A process-independent digest of one specification's rule surface.
-
-    Stable across restarts (unlike the in-process version stamp) and
-    sensitive to every declarative mutation: adding, removing, renaming,
-    or re-patterning a rule all change the digest.  Since the digest now
-    also participates in cache keys and registry versioning it lives on
-    the specification itself
-    (:attr:`~repro.rules.MappingSpecification.content_digest`); this
-    function remains the snapshot layer's public alias.
-    """
-    return spec.content_digest
 
 
 @dataclass(frozen=True)
@@ -173,7 +159,7 @@ def snapshot_payload(
             skipped_stale += 1
             continue
         section = sections.setdefault(
-            spec_name, {"digest": spec_digest(spec), "entries": []}
+            spec_name, {"digest": spec.content_digest, "entries": []}
         )
         section["entries"].append(
             {
@@ -297,7 +283,7 @@ def restore_snapshot(
             if spec is None:
                 discarded_unknown += len(entries)
                 continue
-            if section.get("digest") != spec_digest(spec):
+            if section.get("digest") != spec.content_digest:
                 discarded_stale += len(entries)
                 stale_specs.append(spec_name)
                 continue

@@ -5,19 +5,16 @@ runs :func:`worker_main`: build the mediator for the configured built-in
 scenario, restore the shard's cache snapshot if one exists, bind an
 ephemeral TCP port, report it back over the bootstrap pipe, and serve
 the JSON-lines protocol until told to stop.  Workers are shared-nothing
-— no cross-process locks, no shared memory; the only coordination is
-the front-end's consistent-hash routing, which guarantees a fingerprint
-always lands on the same shard (so each per-shard cache, single-flight
-included, stays exactly as correct as the single-process service).
+— no cross-process locks, no shared memory, no coordination: each holds
+the whole rule set, so whichever worker the front-end picks answers
+exactly as the single-process service would.
 
-On top of the standard protocol a worker answers two ops of its own:
-
-``snapshot``
-    Write the shard's cache snapshot now; responds with the
-    :class:`~repro.serve.snapshot.SnapshotReport`.
-``shard``
-    Identity probe: shard id, pid, restore report from boot, and the
-    snapshot path (the front-end stamps these into per-shard stats).
+On top of the standard protocol a worker answers one op of its own,
+``snapshot``: write the shard's cache snapshot now and respond with the
+:class:`~repro.serve.snapshot.SnapshotReport`.  A response whose line
+would pass :data:`~repro.serve.protocol.MAX_LINE_BYTES` is answered with
+a ``response-too-large`` error instead, so the front-end never reads an
+overlong line and never mistakes one for a dead worker.
 
 Lifecycle: ``SIGTERM`` (or ``SIGINT``) triggers a graceful shutdown —
 stop accepting, write a final snapshot, exit 0 — which is what the
@@ -32,7 +29,13 @@ import signal
 import threading
 from typing import TYPE_CHECKING
 
-from repro.serve.protocol import decode_line, encode_response, error_response, handle_request
+from repro.serve.protocol import (
+    MAX_LINE_BYTES,
+    decode_line,
+    encode_response,
+    error_response,
+    handle_request,
+)
 from repro.serve.service import MediationService, ServiceConfig
 from repro.serve.snapshot import SnapshotTimer, restore_snapshot, specs_by_name
 
@@ -110,37 +113,31 @@ def _build_mediator(spec_names: tuple[str, ...], resilience_args: dict | None):
 class _WorkerRuntime:
     """The per-process state the extended line handler closes over."""
 
-    def __init__(
-        self,
-        shard_id: int,
-        service: MediationService,
-        timer: SnapshotTimer | None,
-        restore_report: "RestoreReport | None",
-    ):
-        self.shard_id = shard_id
+    def __init__(self, service: MediationService, timer: SnapshotTimer | None):
         self.service = service
         self.timer = timer
-        self.restore_report = restore_report
 
     def handle_line(self, line: str) -> str:
-        """The protocol plus the worker-local ``snapshot``/``shard`` ops."""
+        """The protocol plus the worker-local ``snapshot`` op, line-bounded."""
         request, decode_error = decode_line(line)
         if decode_error is not None:
             return encode_response(decode_error)
         assert request is not None
-        op = request.get("op")
-        if op == "snapshot":
-            return encode_response(self._op_snapshot(request))
-        if op == "shard":
-            return encode_response(self._op_shard(request))
-        return encode_response(handle_request(self.service, request))
-
-    def _base(self, request: dict) -> dict:
-        response: dict = {}
-        if "id" in request:
-            response["id"] = request["id"]
-        response["op"] = request["op"]
-        return response
+        if request.get("op") == "snapshot":
+            response = self._op_snapshot(request)
+        else:
+            response = handle_request(self.service, request)
+        encoded = encode_response(response)
+        if len(encoded) + 1 > MAX_LINE_BYTES:  # ASCII JSON: 1 char = 1 byte
+            return encode_response(
+                error_response(
+                    request,
+                    "response-too-large",
+                    f"response line of {len(encoded) + 1} bytes exceeds "
+                    f"MAX_LINE_BYTES ({MAX_LINE_BYTES}); split the request",
+                )
+            )
+        return encoded
 
     def _op_snapshot(self, request: dict) -> dict:
         if self.timer is None:
@@ -150,22 +147,10 @@ class _WorkerRuntime:
                 "worker runs without --snapshot-dir; nothing to persist",
             )
         report = self.timer.write_now()
-        return {**self._base(request), "ok": True, "snapshot": report.to_dict()}
-
-    def _op_shard(self, request: dict) -> dict:
-        restored = (
-            self.restore_report.to_dict() if self.restore_report is not None else None
-        )
-        return {
-            **self._base(request),
-            "ok": True,
-            "shard": {
-                "shard": self.shard_id,
-                "pid": os.getpid(),
-                "snapshot_path": str(self.timer.path) if self.timer else None,
-                "restore": restored,
-            },
-        }
+        response = {"op": "snapshot", "ok": True, "snapshot": report.to_dict()}
+        if "id" in request:
+            response["id"] = request["id"]
+        return response
 
 
 def worker_main(
@@ -213,7 +198,7 @@ def worker_main(
             interval=snapshot_interval,
             limit=snapshot_limit,
         )
-        runtime = _WorkerRuntime(shard_id, service, timer, restore_report)
+        runtime = _WorkerRuntime(service, timer)
         server = serve_tcp(
             service,
             port=0,

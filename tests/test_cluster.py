@@ -1,13 +1,17 @@
-"""repro.serve.cluster: consistent-hash routing and the sharded front-end.
+"""repro.serve.cluster: least-loaded routing and the worker-process front-end.
 
 The contracts under test, in increasing machinery:
 
-* :class:`HashRing` — deterministic placement, minimal disruption when a
-  shard leaves (only the departed shard's keys move), usable balance.
+* A worker's line handler answers a response past the line bound with a
+  structured error, and a client's ``shard`` op with the single-process
+  unknown-op error.
 * The 2-process cluster answers every protocol op **bit-identically** to
   a single-process :func:`~repro.serve.handle_line` — same bytes for
   translate/mediate/batch/errors — under both sequential and 16-client
-  concurrent load, with zero lost responses.
+  concurrent load, with zero lost responses; an overlong client line
+  gets one structured error and the connection keeps serving.
+* Routing: a request goes to the live shard with the fewest requests
+  in flight, so a second client is not queued behind a busy shard.
 * Operational behavior: exact aggregated stats, graceful degradation
   when a worker is killed, rolling restart that loses nothing and comes
   back warm from the dead worker's snapshot.
@@ -18,11 +22,10 @@ the suite; they share one cluster per class where the ops are read-only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import socket
 import threading
-from collections import Counter
+import time
 
 import pytest
 
@@ -30,10 +33,10 @@ from repro.obs.stats import builtin_mediator
 from repro.serve import (
     ClusterConfig,
     ClusterServer,
-    HashRing,
     MediationService,
     ServiceConfig,
     handle_line,
+    worker,
 )
 
 QUERY = '[ln = "Clancy"] and [fn = "Tom"]'
@@ -46,64 +49,30 @@ QUERIES = [
 ]
 
 
-def fingerprints(n: int):
-    return [hashlib.sha256(str(i).encode()).hexdigest() for i in range(n)]
+def reference_service() -> MediationService:
+    return MediationService(builtin_mediator({"K_Amazon"}), ServiceConfig())
 
 
-class TestHashRing:
-    def test_route_is_deterministic(self):
-        a = HashRing(range(4))
-        b = HashRing(range(4))
-        for key in fingerprints(200):
-            assert a.route(key) == b.route(key)
+class TestWorkerLineHandler:
+    def test_response_past_the_line_bound_is_a_structured_error(self, monkeypatch):
+        # Past the bound the front-end would read the line as a dead shard.
+        monkeypatch.setattr(worker, "MAX_LINE_BYTES", 300)
+        runtime = worker._WorkerRuntime(reference_service(), None)
+        line = json.dumps({"id": "big", "op": "batch", "queries": [QUERY] * 3})
+        encoded = runtime.handle_line(line)
+        assert len(encoded) < 300
+        response = json.loads(encoded)
+        assert response["id"] == "big"
+        assert response["ok"] is False
+        assert response["error"]["type"] == "response-too-large"
+        small = json.dumps({"id": 2, "op": "ping"})
+        assert runtime.handle_line(small) == handle_line(reference_service(), small)
 
-    def test_single_key_always_lands_on_one_shard(self):
-        ring = HashRing(range(8))
-        key = fingerprints(1)[0]
-        assert len({ring.route(key) for _ in range(50)}) == 1
-
-    def test_only_departed_shards_keys_move(self):
-        ring = HashRing(range(4))
-        keys = fingerprints(2000)
-        full = {key: ring.route(key) for key in keys}
-        down = 2
-        survivors = {0, 1, 3}
-        for key in keys:
-            rerouted = ring.route(key, survivors)
-            if full[key] != down:
-                assert rerouted == full[key]  # untouched shards keep their keys
-            else:
-                assert rerouted in survivors
-
-    def test_balance_within_bounds(self):
-        ring = HashRing(range(4))
-        counts = Counter(ring.route(key) for key in fingerprints(10_000))
-        assert set(counts) == {0, 1, 2, 3}
-        # Virtual nodes keep the spread coarse but serviceable.
-        assert max(counts.values()) < 3 * min(counts.values())
-
-    def test_preference_is_a_permutation(self):
-        ring = HashRing(range(5))
-        for key in fingerprints(50):
-            order = list(ring.preference(key))
-            assert sorted(order) == [0, 1, 2, 3, 4]
-            assert order[0] == ring.route(key)
-
-    def test_route_honors_routable_subset(self):
-        ring = HashRing(range(4))
-        key = fingerprints(1)[0]
-        assert ring.route(key, {3}) == 3
-        with pytest.raises(LookupError):
-            ring.route(key, set())
-
-    def test_non_hex_keys_still_route(self):
-        ring = HashRing(range(3))
-        for key in ("text:not a query ((", "op:'stats':None", ""):
-            assert ring.route(key) in {0, 1, 2}
-
-    def test_rejects_empty_ring(self):
-        with pytest.raises(ValueError):
-            HashRing([])
+    def test_shard_op_is_an_unknown_op(self):
+        line = json.dumps({"id": 1, "op": "shard"})
+        response = worker._WorkerRuntime(reference_service(), None).handle_line(line)
+        assert response == handle_line(reference_service(), line)
+        assert json.loads(response)["error"]["type"] == "bad-request"
 
 
 def cluster_config(**overrides) -> ClusterConfig:
@@ -277,6 +246,48 @@ class TestClusterProtocol:
         finally:
             client.close()
 
+    def test_overlong_line_gets_one_error_and_the_connection_serves_on(self, cluster):
+        client = Client(cluster.address)
+        try:
+            line = json.dumps({"op": "translate", "query": "x" * (17 * 1024 * 1024)})
+            response = json.loads(client.call_raw(line))
+            assert response["ok"] is False
+            assert response["error"]["type"] == "bad-request"
+            assert "MAX_LINE_BYTES" in response["error"]["message"]
+            # The line's tail is discarded, not answered as a second line.
+            assert client.call({"id": 1, "op": "ping"}) == {
+                "id": 1, "op": "ping", "ok": True, "pong": True,
+            }
+        finally:
+            client.close()
+
+
+class TestLeastLoadedRouting:
+    def test_second_request_goes_to_the_idle_shard(self):
+        with ClusterServer(cluster_config()) as cluster:
+            busy = Client(cluster.address)
+            other = Client(cluster.address)
+            try:
+                busy.handle.write(
+                    json.dumps({"op": "batch", "queries": [QUERY] * 3000}) + "\n"
+                )
+                busy.handle.flush()
+                deadline = time.monotonic() + 60.0
+                while not any(
+                    shard["in_flight"] == 1
+                    for shard in other.call({"op": "shards"})["shards"]
+                ):
+                    assert time.monotonic() < deadline
+                # The same query: a fingerprint router would queue it
+                # behind the batch on the busy shard.
+                assert other.call({"op": "translate", "query": QUERY})["ok"]
+                assert json.loads(busy.handle.readline())["ok"]
+                shards = other.call({"op": "shards"})["shards"]
+                assert [shard["routed"] for shard in shards] == [1, 1]
+            finally:
+                busy.close()
+                other.close()
+
 
 class TestClusterResilience:
     def test_worker_death_degrades_gracefully(self):
@@ -286,7 +297,7 @@ class TestClusterResilience:
                 for query in QUERIES[:4]:
                     assert client.call({"op": "translate", "query": query})["ok"]
                 cluster.kill_shard(0)
-                # Every fingerprint still answers via ring failover.
+                # Every query still answers on the surviving shard.
                 for query in QUERIES[:4]:
                     response = client.call({"op": "translate", "query": query})
                     assert response["ok"], response

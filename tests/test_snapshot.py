@@ -25,7 +25,6 @@ from repro.serve.snapshot import (
     SnapshotTimer,
     restore_snapshot,
     snapshot_payload,
-    spec_digest,
     specs_by_name,
     write_snapshot,
 )
@@ -47,19 +46,20 @@ def warm(cache: TranslationCache, spec, seeds):
 
 class TestSpecDigest:
     def test_stable_across_identical_specs(self):
-        assert spec_digest(random_spec(ATTRS, pair_count=3, seed=7)) == spec_digest(
-            random_spec(ATTRS, pair_count=3, seed=7)
+        assert (
+            random_spec(ATTRS, pair_count=3, seed=7).content_digest
+            == random_spec(ATTRS, pair_count=3, seed=7).content_digest
         )
 
     def test_sensitive_to_rule_removal(self):
         spec = random_spec(ATTRS, pair_count=3, seed=7)
-        before = spec_digest(spec)
+        before = spec.content_digest
         spec.remove_rule(spec.rules[0].name)
-        assert spec_digest(spec) != before
+        assert spec.content_digest != before
 
     def test_sensitive_to_rule_addition(self):
         spec = random_spec(ATTRS, pair_count=3, seed=7)
-        before = spec_digest(spec)
+        before = spec.content_digest
         donor = random_spec(ATTRS, pair_count=1, seed=123).rules[0]
         spec.add_rule(
             Rule(
@@ -70,16 +70,16 @@ class TestSpecDigest:
                 exact=donor.exact,
             )
         )
-        assert spec_digest(spec) != before
+        assert spec.content_digest != before
 
     def test_independent_of_version_stamp(self):
         # The stamp is process-local; the digest must not move when the
         # rule set round-trips back to the same declarative surface.
         spec = random_spec(ATTRS, pair_count=3, seed=7)
-        before = spec_digest(spec)
+        before = spec.content_digest
         removed = spec.remove_rule(spec.rules[-1].name)
         spec.add_rule(removed)  # version bumped twice, same rules
-        assert spec_digest(spec) == before
+        assert spec.content_digest == before
 
 
 class TestSnapshotRoundTrip:
@@ -282,7 +282,7 @@ class TestSnapshotTimerReload:
         assert report.entries > 0
         payload = json.loads(path.read_text(encoding="utf-8"))
         section = payload["specs"][old.name]
-        assert section["digest"] == spec_digest(replacement)
+        assert section["digest"] == replacement.content_digest
 
     def test_update_spec_ignores_unknown_names(self, tmp_path):
         spec = random_spec(ATTRS, pair_count=2, seed=14)

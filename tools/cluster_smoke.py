@@ -9,8 +9,8 @@ the way an operator would:
   the aggregated ``stats``/``metrics`` carry the exact request totals;
 * ``shards`` — both workers report alive with real pids;
 * worker death — ``SIGKILL`` one worker by pid; every query must still
-  answer via ring failover, ``health`` must degrade (not fail), and the
-  front-end must account the death;
+  answer on the surviving worker, ``health`` must degrade (not fail),
+  and the front-end must account the death;
 * rolling recovery — ``restart`` the dead shard; it must come back warm
   from its snapshot and ``health`` must return to ``ok``;
 * hot reload — ``repro registry publish`` a spec variant, ``reload``
