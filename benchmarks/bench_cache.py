@@ -4,7 +4,7 @@ Mediators re-translate the same handful of queries over and over — every
 ``answer_mediated`` call rebuilds the filter plan, and interactive
 clients repeat whole queries verbatim.  :class:`repro.perf.TranslationCache`
 memoizes whole TDQM results keyed by the query's canonical fingerprint
-and the specification's version stamp, so a repeat costs one normalize +
+and the specification's content digest, so a repeat costs one normalize +
 fingerprint + dict lookup instead of a full prematch/PSafe/SCM run.
 
 This bench pins that claim: warm-cache translation must be at least 2x
@@ -19,7 +19,7 @@ from obs_harness import BenchRecorder, median_of, sweep
 from repro.core.parser import parse_query
 from repro.core.tdqm import tdqm_translate
 from repro.perf import TranslationCache, translate_batch
-from repro.rules import builtin_specifications
+from repro.rules import MappingSpecification, builtin_specifications
 from repro.workloads.generator import chain_query, synthetic_spec, vocabulary
 
 #: Realistic mediator workload: the bookstore queries every bench reuses.
@@ -143,7 +143,7 @@ def test_batch_translation(benchmark, report):
 
 
 def test_cache_invalidation_cost(report):
-    """Spec mutation invalidates logically — old entries just never hit."""
+    """A changed rule set invalidates logically — old entries just never hit."""
     spec, queries = _workload()
     cache = TranslationCache()
     for query in queries:
@@ -152,20 +152,21 @@ def test_cache_invalidation_cost(report):
     from repro.core.matching import Rule
 
     template = spec.rules[0]
-    spec.add_rule(Rule(
+    late = Rule(
         name="late-rule",
         patterns=template.patterns,
         emit=template.emit,
         exact=False,
-    ))
-    # Old entries are unreachable (version changed) — re-asking misses.
-    cache.tdqm(queries[0], spec)
+    )
+    grown = MappingSpecification(spec.name, spec.target, (*spec.rules, late))
+    # Same name, new digest: the old entries are unreachable — re-asking misses.
+    cache.tdqm(queries[0], grown)
     after = cache.stats
     assert after.misses == before.misses + 1
     report(
-        "repro.perf: version-stamp invalidation",
+        "repro.perf: content-digest invalidation",
         [
-            f"  entries before mutation: {before.size}",
-            f"  misses after add_rule  : {after.misses - before.misses} (forced rebuild)",
+            f"  entries before the change : {before.size}",
+            f"  misses with one more rule : {after.misses - before.misses} (forced rebuild)",
         ],
     )

@@ -12,7 +12,6 @@ __all__ = [
     "ParseError",
     "RuleError",
     "SpecificationError",
-    "StaleIndexError",
     "CapabilityError",
     "TranslationError",
     "EvaluationError",
@@ -51,15 +50,6 @@ class RuleError(VocabMapError):
 
 class SpecificationError(VocabMapError):
     """A mapping specification violates a structural requirement."""
-
-
-class StaleIndexError(SpecificationError):
-    """A compiled rule index was probed after its specification mutated.
-
-    Raised instead of silently answering from an outdated rule set: a
-    matcher (or cache) built before ``add_rule``/``remove_rule`` must be
-    rebuilt via :meth:`MappingSpecification.matcher`.
-    """
 
 
 class CapabilityError(VocabMapError):

@@ -65,7 +65,7 @@ def build_filter(
     per-source translations *and* the per-block exactness probes — the
     hottest part of the mediation path for repeated queries.  The plan is
     identical with or without it: translation is a pure function of the
-    (normalized) query and the specification's rule-set version.
+    (normalized) query and the specification's rule set.
     """
     with obs.span("build_filter", sources=len(specs)):
         query = normalize(query)

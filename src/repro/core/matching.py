@@ -361,8 +361,7 @@ class Matcher:
     closure** (:mod:`repro.perf.compile`); the matchings, their order and
     their exactness are identical to the oracle's.
     ``MappingSpecification.matcher()`` attaches the index automatically;
-    an index probed after its specification mutated raises
-    :class:`~repro.core.errors.StaleIndexError`.
+    specifications are immutable, so the index never goes stale.
     """
 
     def __init__(self, rules: Sequence[Rule], index=None):

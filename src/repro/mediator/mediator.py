@@ -133,8 +133,8 @@ class Mediator:
         self.specs = dict(specs)
         self.view_virtuals = dict(view_virtuals or {})
         # Hot-path memo of whole translations (repro.perf).  Safe by
-        # construction — cache keys pin each specification's version
-        # stamp — so it is on by default; pass None to disable or your
+        # construction — cache keys pin each specification's content
+        # digest — so it is on by default; pass None to disable or your
         # own TranslationCache to share one across mediators.
         if translation_cache is _DEFAULT_CACHE:
             translation_cache = TranslationCache()

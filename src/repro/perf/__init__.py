@@ -18,10 +18,9 @@ that repetition into an order-of-magnitude win:
   spec-load time; every indexed matcher dispatches through them, and the
   linear ``Matcher(spec.rules)`` walk is the oracle tests compare them to;
 * :class:`TranslationCache` — an LRU memo of whole translations keyed by
-  (algorithm, specification name, specification *version*, content
-  digest, fingerprint); specification mutation bumps the version stamp
-  and a reloaded spec carries its own digest, so stale entries can never
-  be served;
+  (algorithm, specification name, content digest, fingerprint);
+  specifications are immutable and a reloaded spec carries its own
+  digest, so stale entries can never be served;
 * :func:`translate_batch` — shared-everything batch translation behind
   ``Mediator.translate_many`` and the ``repro batch`` CLI subcommand.
 

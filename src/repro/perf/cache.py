@@ -5,16 +5,13 @@ queries against the same specifications constantly.  Translation is pure
 (a function of the normalized query and the specification's rule set),
 so whole results can be memoized:
 
-* **Key** — ``(algorithm, specification name, specification version,
-  content digest, query fingerprint)``; the algorithm tag is always
-  ``"tdqm"``.  The version stamp is bumped by
-  every ``add_rule``/``remove_rule``, so entries built against an
-  outdated rule set can never be served; the content digest
-  (:attr:`~repro.rules.MappingSpecification.content_digest`) guards the
-  cross-object case — version stamps are a per-process counter, so a
-  *different* spec object (a hot-reloaded replacement, a fresh worker)
-  can legitimately carry the same ``(name, version)`` with different
-  rules.  The fingerprint collapses ∧/∨ commutativity and join
+* **Key** — ``(algorithm, specification name, content digest, query
+  fingerprint)``; the algorithm tag is always ``"tdqm"``.  A
+  specification is immutable and its content digest
+  (:attr:`~repro.rules.MappingSpecification.content_digest`) is its
+  identity, the same in every process, so a different rule set (a
+  hot-reloaded replacement, another worker's spec) always lands on
+  different keys.  The fingerprint collapses ∧/∨ commutativity and join
   orientation (see :mod:`repro.perf.fingerprint`).
 * **Value** — the full :class:`~repro.core.tdqm.TranslationResult`,
   shared by reference (results are immutable in practice: never mutate
@@ -57,9 +54,8 @@ if TYPE_CHECKING:
 
 __all__ = ["CacheStats", "TranslationCache", "translate_batch"]
 
-#: Cache key: (algorithm, spec name, spec version, spec content digest,
-#: query fingerprint).
-_Key = tuple[str, str, int, str, str]
+#: Cache key: (algorithm, spec name, spec content digest, query fingerprint).
+_Key = tuple[str, str, str, str]
 
 _MISS = object()
 
@@ -125,10 +121,11 @@ class TranslationCache:
     """An LRU memo of whole translations (see module docstring).
 
     One cache may serve any number of specifications; keys embed the
-    specification name *and* version, so mutation invalidates logically
-    (stale entries become unreachable) while :meth:`invalidate` reclaims
-    the memory eagerly.  All public entry points are thread-safe, and
-    concurrent misses on one key run a single translation (single-flight).
+    specification name *and* content digest, so a replaced rule set
+    invalidates logically (its entries become unreachable) while
+    :meth:`invalidate` reclaims the memory eagerly.  All public entry
+    points are thread-safe, and concurrent misses on one key run a
+    single translation (single-flight).
     """
 
     def __init__(self, maxsize: int = 1024):
@@ -167,8 +164,8 @@ class TranslationCache:
     def invalidate(self, spec: MappingSpecification | str | None = None) -> int:
         """Eagerly drop entries for ``spec`` (by name), or all when ``None``.
 
-        Version-stamped keys already make stale entries unreachable after
-        a mutation; this reclaims their slots.  Returns the number of
+        Digest-keyed entries of a replaced rule set are already
+        unreachable; this reclaims their slots.  Returns the number of
         entries dropped.
         """
         with self._lock:
@@ -291,7 +288,7 @@ class TranslationCache:
         """
         from repro.core.tdqm import tdqm_translate
 
-        key = ("tdqm", spec.name, spec.version, spec.content_digest, fingerprint)
+        key = ("tdqm", spec.name, spec.content_digest, fingerprint)
         return self._get_or_compute(  # type: ignore[return-value]
             key, lambda: tdqm_translate(normalized_query, spec)
         )

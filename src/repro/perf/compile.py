@@ -3,8 +3,8 @@
 The interpreted matcher (:func:`repro.core.matching.match_rule`) walks a
 rule's patterns with a generic, ``isinstance``-dispatched unifier and
 re-evaluates conditions, ``let`` chains, and ``emit`` templates for every
-matching of every translation.  But a specification's rules are fixed
-between versions, so all of that dispatch can be decided once per rule:
+matching of every translation.  But a specification's rules never
+change, so all of that dispatch can be decided once per rule:
 
 * each :class:`~repro.core.matching.ConstraintPattern` compiles to a
   **specialized unifier closure** containing only the steps its variable
@@ -16,14 +16,13 @@ between versions, so all of that dispatch can be decided once per rule:
   a **finish closure**, and its outcome is memoized per assignment: rule
   tails are pure functions of the binding (the same contract the
   TranslationCache already relies on), so each distinct constraint
-  assignment is evaluated once per specification version, after which a
+  assignment is evaluated once per specification, after which a
   matching is a dictionary hit.
 
 Compiled rules are registered in the :class:`~repro.perf.index.
-CompiledRuleIndex`, so version pinning and
-:class:`~repro.core.errors.StaleIndexError` staleness handling carry over
-unchanged: a specification mutation detaches the index together with
-every compiled closure and memo built from the old rule set.
+CompiledRuleIndex`, so they share its lifetime: a hot reload that
+retires a specification frees the index together with every compiled
+closure and memo built from its rule set.
 
 Bit-identity: for any pool sequence, :meth:`CompiledRule.matchings`
 returns exactly what ``match_rule`` returns — same matchings, same
@@ -198,8 +197,8 @@ class CompiledRule:
 
     Obtain instances through :meth:`repro.perf.index.CompiledRuleIndex.
     compiled` (or :func:`compile_rule` directly in tests): the index owns
-    the compiled rules of one specification version, which scopes every
-    memo to exactly one rule-set state.
+    the compiled rules of one specification, which scopes every memo to
+    exactly one rule set.
     """
 
     __slots__ = ("rule", "name", "_unifiers", "_finish", "_memo", "_single")

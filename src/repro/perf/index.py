@@ -9,7 +9,7 @@ constraint on that attribute (``_quick_compatible`` re-derives this per
 call today).
 
 :class:`CompiledRuleIndex` hoists that screen out of the hot path, once
-per specification *version*:
+per specification:
 
 * a per-rule **head signature** — the literal (attr, op, view) fields of
   every constraint pattern;
@@ -24,20 +24,16 @@ Correctness: the screen is exactly the one ``match_rule`` applies via
 what a probed rule returns, so matchings are bit-identical with and
 without it (property-tested in ``tests/test_compile_properties.py``).
 
-Staleness: the index pins the specification version it was built from;
-probing after an ``add_rule``/``remove_rule`` raises
-:class:`~repro.core.errors.StaleIndexError` rather than silently
-answering from the outdated rule set.
+A specification is immutable, so its index can never go stale and
+trusts its rule tuple without re-checking it per probe.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.ast import Constraint
-from repro.core.errors import StaleIndexError
 from repro.core.matching import AttrPattern, Rule
 from repro.obs import trace as obs
 from repro.perf.compile import CompiledRule, compile_rule
@@ -89,17 +85,12 @@ class CompiledRuleIndex:
     """Per-specification candidate-rule dispatch (see module docstring).
 
     Built lazily by :meth:`MappingSpecification.compiled_index` and
-    shared by every matcher of that specification until the next
-    mutation.  All probes verify freshness against the owning
-    specification's version stamp.
+    shared by every matcher of that specification.  It copies what it
+    needs and holds no reference to the specification, so a retired
+    specification is freed by refcounting alone.
     """
 
     __slots__ = (
-        "__weakref__",
-        "spec_name",
-        "version",
-        "digest",
-        "_spec",
         "_rules",
         "_signatures",
         "_required",
@@ -109,16 +100,6 @@ class CompiledRuleIndex:
     )
 
     def __init__(self, spec: MappingSpecification):
-        # A weak back-reference: the spec owns the index (strongly, via
-        # its _compiled_index slot), so a strong reference here would
-        # form a cycle that keeps a swapped-out spec — and every compiled
-        # closure and memo hanging off this index — alive until a gc
-        # pass.  Weak means plain refcounting frees the whole subgraph
-        # the moment a hot reload drops the last spec reference.
-        self._spec = weakref.ref(spec)
-        self.spec_name: str = spec.name
-        self.version: int = spec.version
-        self.digest: str = spec.content_digest
         self._rules: tuple[Rule, ...] = spec.rules
         self._signatures: tuple[tuple[HeadSignature, ...], ...] = tuple(
             _signature(rule) for rule in spec.rules
@@ -142,7 +123,7 @@ class CompiledRuleIndex:
         # Compiled closures (repro.perf.compile), built lazily per rule on
         # first dispatch so index construction stays cheap for analysis
         # tooling that never matches.  Sharing the index's lifetime pins
-        # every closure and memo to this specification version.
+        # every closure and memo to this specification.
         self._compiled: list[CompiledRule | None] = [None] * len(self._rules)
 
     # -- introspection ---------------------------------------------------------
@@ -164,27 +145,6 @@ class CompiledRuleIndex:
 
     # -- probing ---------------------------------------------------------------
 
-    def check_fresh(self) -> None:
-        """Raise :class:`StaleIndexError` if the specification mutated.
-
-        Also raises when the owning specification was garbage-collected
-        (a hot-reloaded spec was swapped out from under a lingering
-        handle) or when its content digest diverged from the one this
-        index was built against.
-        """
-        spec = self._spec()
-        if spec is None:
-            raise StaleIndexError(
-                f"compiled rule index for specification {self.spec_name!r} is stale "
-                "(the owning specification was retired); rebuild via spec.matcher()"
-            )
-        if spec.version != self.version or spec.content_digest != self.digest:
-            raise StaleIndexError(
-                f"compiled rule index for specification {self.spec_name!r} is stale "
-                f"(built at version {self.version}, specification is now at "
-                f"version {spec.version}); rebuild via spec.matcher()"
-            )
-
     def candidate_ids(self, attrs: "set[str] | frozenset[str] | dict") -> list[int]:
         """Rule ids whose required attributes all appear in ``attrs``.
 
@@ -192,7 +152,6 @@ class CompiledRuleIndex:
         possibly rules the finer per-pattern pools then reject.  Output
         preserves specification rule order.
         """
-        self.check_fresh()
         hits: dict[int, int] = {}
         for name in attrs:
             for rule_id in self._by_attr.get(name, ()):
@@ -224,7 +183,6 @@ class CompiledRuleIndex:
         some pattern has no compatible constraint — the rule cannot match
         at all, exactly ``match_rule``'s empty-pool early exit.
         """
-        self.check_fresh()
         pools: list[list[Constraint]] = []
         for sig in self._signatures[rule_id]:
             source = ordered if sig.attr is None else by_attr.get(sig.attr, [])
@@ -242,11 +200,9 @@ class CompiledRuleIndex:
     def compiled(self, rule_id: int) -> CompiledRule:
         """The compiled closure for rule ``rule_id`` (built on first use).
 
-        Compiled rules share the index's version pin: a stale index
-        refuses to hand them out, and a rebuilt index starts from fresh
-        closures and memos.
+        Compiled rules share the index's lifetime, so their memos live
+        and die with the specification.
         """
-        self.check_fresh()
         compiled = self._compiled[rule_id]
         if compiled is None:
             compiled = compile_rule(self._rules[rule_id])
@@ -260,7 +216,6 @@ class CompiledRuleIndex:
         compiles lazily anyway; warming up front keeps first-request
         latency flat in serving processes.
         """
-        self.check_fresh()
         built = 0
         for rule_id, compiled in enumerate(self._compiled):
             if compiled is None:

@@ -17,10 +17,12 @@ immutable once written — rollback only moves the ``active`` pointer,
 preserving the full history.
 
 Identity is the specification's content digest
-(:attr:`~repro.rules.MappingSpecification.content_digest`): publishing a
-payload whose digest equals the currently active version's is an
-idempotent no-op, and the serving stack compares the same digest to
-decide whether a reload actually changes anything.
+(:attr:`~repro.rules.MappingSpecification.content_digest`), the sha256
+of the whole declarative payload: publishing a payload whose digest
+equals the currently active version's is an idempotent no-op, any edit
+(an ``emit`` or a ``let`` included) records a new version, and the
+serving stack compares the same digest to decide whether a reload
+actually changes anything.
 """
 
 from __future__ import annotations

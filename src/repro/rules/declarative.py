@@ -49,10 +49,24 @@ Conventions:
 
 The default function registry exposes :mod:`repro.conversions`; pass
 ``functions=`` to extend it.
+
+A loaded specification's
+:attr:`~repro.rules.MappingSpecification.content_digest` is the sha256
+of the payload's canonical JSON (``json.dumps(data, sort_keys=True)``),
+so an edit to any field of the payload gives the specification a new
+identity.  Values JSON lacks digest as their JSON image (a tuple as a
+list, a set as a sorted list, a number used as a dict key as its
+string, anything else as its ``repr``), so two payloads from Python
+callers that differ only there share a digest; payloads that arrive as
+JSON cannot differ that way.  A custom ``functions=`` registry is not
+part of the digest; the serving stack always loads with the default
+registry.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections.abc import Callable, Mapping
 
 from repro.conversions import (
@@ -336,17 +350,43 @@ def rule_from_dict(
     )
 
 
+def _json_image(value: object) -> object:
+    if isinstance(value, (set, frozenset)):
+        return sorted(value, key=repr)
+    return repr(value)
+
+
+def _payload_digest(data: Mapping) -> str:
+    """sha256 of the payload's canonical JSON (see the module docstring)."""
+    try:
+        canonical = json.dumps(data, sort_keys=True, default=_json_image)
+    except TypeError:
+        # Dict keys json cannot sort or encode (mixed or tuple keys, from
+        # Python callers only).  The repr still tells payloads apart; it
+        # may tell equal ones apart too, which costs a miss, not an answer.
+        canonical = repr(data)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def spec_from_dict(
     data: Mapping, functions: Mapping[str, Callable] | None = None
 ) -> MappingSpecification:
-    """Build a :class:`MappingSpecification` from its declarative form."""
+    """Build a :class:`MappingSpecification` from its declarative form.
+
+    The specification's content digest covers the whole payload (see the
+    module docstring).
+    """
     for field_name in ("name", "target", "rules"):
         if field_name not in data:
             raise SpecificationError(f"specification needs {field_name!r}")
     rules = tuple(rule_from_dict(r, functions) for r in data["rules"])
-    return MappingSpecification(
+    spec = MappingSpecification(
         name=data["name"],
         target=data["target"],
         rules=rules,
         description=data.get("description", ""),
     )
+    # The frozen dataclass's back door, as in its own __post_init__: the
+    # loader records the digest, no caller chooses it.
+    object.__setattr__(spec, "_digest", _payload_digest(data))
+    return spec

@@ -11,12 +11,16 @@ a human expert can certify; what the library can do mechanically is
 * a **vocabulary audit** (:func:`audit_vocabulary`): report which of a set
   of representative constraints participate in *no* matching — i.e. would
   silently map to ``True`` — so the integrator can spot missing rules.
+
+A specification is immutable: changing a rule set means building a new
+specification (hot reload swaps one in whole).  Its only identity is
+:attr:`MappingSpecification.content_digest`, a digest of what it
+contains.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -29,14 +33,6 @@ if TYPE_CHECKING:
     from repro.perf.index import CompiledRuleIndex
 
 __all__ = ["MappingSpecification", "AuditReport", "audit_vocabulary"]
-
-#: Global version-stamp source.  Every specification construction *and*
-#: every mutation draws a fresh stamp, so (name, version) pairs uniquely
-#: identify one rule-set state *within one process*.  Across processes
-#: the counter restarts, so two spec objects can carry the same stamp
-#: with different rule sets — anything durable (cache keys, snapshots,
-#: registry versions) must pair the stamp with :attr:`content_digest`.
-_VERSION_STAMPS = itertools.count(1)
 
 _DIGEST_SEP = "\x1f"
 
@@ -65,7 +61,6 @@ class MappingSpecification:
         # Populated in __post_init__; not dataclass fields (the guard keeps
         # them out of __annotations__ at runtime).
         _rules_by_name: dict[str, Rule]
-        _version: int
         _digest: str | None
         _compiled_index: CompiledRuleIndex | None
 
@@ -81,37 +76,28 @@ class MappingSpecification:
         object.__setattr__(
             self, "_rules_by_name", {rule.name: rule for rule in self.rules}
         )
-        object.__setattr__(self, "_version", next(_VERSION_STAMPS))
         object.__setattr__(self, "_digest", None)
         object.__setattr__(self, "_compiled_index", None)
 
-    # -- versioning + compiled index -------------------------------------------
-
-    @property
-    def version(self) -> int:
-        """The rule-set version stamp this specification currently carries.
-
-        Unique per (specification, mutation state) *within one process*:
-        construction draws a stamp and every :meth:`add_rule`/
-        :meth:`remove_rule` draws a fresh one.  Translation-cache keys
-        and compiled rule indexes pin this stamp together with
-        :attr:`content_digest`, so anything built against an outdated
-        rule set misses (cache) or raises (index) instead of silently
-        answering wrong — even when a different process hands out the
-        same counter value for a different rule set.
-        """
-        return self._version
+    # -- identity + compiled index ---------------------------------------------
 
     @property
     def content_digest(self) -> str:
-        """A process-independent digest of the declarative rule surface.
+        """The specification's identity: a digest of what it contains.
 
-        Stable across restarts (unlike :attr:`version`) and sensitive to
-        every declarative mutation: adding, removing, renaming, or
-        re-patterning a rule all change the digest.  A behavioral change
-        hidden inside a rule's emit/condition closures without any
-        declarative change is not detectable — rename the rule (or touch
-        its doc) when changing rule semantics.  Memoized per version.
+        A specification is immutable, so this never changes, and it is
+        stable across processes and restarts.  The translation cache,
+        snapshots, the registry and hot reload all key on it.
+
+        A specification loaded from a declarative payload
+        (:func:`~repro.rules.declarative.spec_from_dict`) digests the
+        whole payload, so an edit to any field — an ``emit``, a ``let``,
+        a ``where`` — changes it.  One built in Python digests its rule
+        surface (rule names, docs, constraint patterns, condition counts
+        and static exactness), because closures cannot be hashed: a
+        behavioural change hidden inside an emit/condition closure is not
+        detectable, so rename the rule (or touch its doc) when changing
+        its semantics.
         """
         digest = self._digest
         if digest is None:
@@ -119,56 +105,20 @@ class MappingSpecification:
             object.__setattr__(self, "_digest", digest)
         return digest
 
-    def _bump_version(self) -> None:
-        object.__setattr__(self, "_version", next(_VERSION_STAMPS))
-        object.__setattr__(self, "_digest", None)
-        object.__setattr__(self, "_compiled_index", None)
-
     def compiled_index(self) -> CompiledRuleIndex:
-        """The :class:`CompiledRuleIndex` for the current rule set.
+        """The :class:`CompiledRuleIndex` for this rule set.
 
         Built lazily on first use and shared by every subsequent
-        :meth:`matcher` until the specification mutates, which detaches
-        it (stale handles raise on their next probe).
+        :meth:`matcher`; the rule set never changes, so neither does the
+        index.
         """
         index = self._compiled_index
-        if index is None or index.version != self._version:
+        if index is None:
             from repro.perf.index import CompiledRuleIndex
 
             index = CompiledRuleIndex(self)
             object.__setattr__(self, "_compiled_index", index)
         return index
-
-    # -- mutation --------------------------------------------------------------
-
-    def add_rule(self, rule: Rule) -> None:
-        """Append ``rule``, bumping the version stamp.
-
-        The specification object mutates in place (all frozen-dataclass
-        invariants except the rule tuple are preserved); cached
-        translations keyed on the old version become unreachable and any
-        previously built compiled index goes stale.
-        """
-        if rule.name in self._rules_by_name:
-            raise SpecificationError(
-                f"specification {self.name!r} already has a rule named {rule.name!r}"
-            )
-        object.__setattr__(self, "rules", (*self.rules, rule))
-        self._rules_by_name[rule.name] = rule
-        self._bump_version()
-
-    def remove_rule(self, name: str) -> Rule:
-        """Remove and return the rule called ``name``, bumping the version."""
-        if name not in self._rules_by_name:
-            raise SpecificationError(
-                f"no rule named {name!r} in specification {self.name!r}"
-            )
-        removed = self._rules_by_name.pop(name)
-        object.__setattr__(
-            self, "rules", tuple(rule for rule in self.rules if rule.name != name)
-        )
-        self._bump_version()
-        return removed
 
     def matcher(self) -> Matcher:
         """A fresh :class:`Matcher` over this specification's rules.

@@ -22,8 +22,9 @@ Operations
     ``query`` (required), ``strict`` (optional bool) — mediated rows
     plus completeness and per-source outcomes.
 ``batch``
-    ``queries`` (required list), ``sources`` (optional) — one
-    ``translate``-shaped result per query, through the batch path.
+    ``queries`` (required list of at most :data:`MAX_BATCH_QUERIES`),
+    ``sources`` (optional) — one ``translate``-shaped result per query,
+    through the batch path.
 ``stats``
     The service's exact counters and the shared cache snapshot.
 ``health``
@@ -92,6 +93,13 @@ __all__ = [
 #: one ``bad-request`` error; a worker answers a response that would pass
 #: the bound with a ``response-too-large`` error instead.
 MAX_LINE_BYTES = 16 * 1024 * 1024
+
+#: Most queries one ``batch`` request may carry.  A longer list is
+#: answered ``bad-request`` before admission, so no work is done for it.
+#: 4,096 Qbook-shaped queries answer about 4.5 MB, well inside
+#: :data:`MAX_LINE_BYTES`; a smaller batch with large results can still
+#: pass the line bound and gets ``response-too-large`` from a worker.
+MAX_BATCH_QUERIES = 4096
 
 #: Operations a request may name.
 OPS = (
@@ -248,6 +256,11 @@ def handle_request(service: MediationService, request: dict) -> dict:
                 isinstance(q, str) for q in queries
             ):
                 raise ValueError("'queries' must be a list of query strings")
+            if len(queries) > MAX_BATCH_QUERIES:
+                raise ValueError(
+                    f"'queries' holds {len(queries)} queries, more than "
+                    f"MAX_BATCH_QUERIES ({MAX_BATCH_QUERIES}); split the batch"
+                )
             batched = service.translate_batch(queries, sources=_optional_sources(request))
             response.update(
                 ok=True,

@@ -16,7 +16,7 @@ service layers two serving disciplines over the mediation pipeline:
 
 Concurrent identical work is shared one layer down: every translation
 goes through the mediator's :class:`~repro.perf.TranslationCache`,
-keyed by spec name, version, content digest and query fingerprint, and
+keyed by spec name, content digest and query fingerprint, and
 concurrent misses on one key run a single translation (single-flight).
 Keying on the spec's identity is what keeps a request admitted after a
 :meth:`~MediationService.reload_spec` from joining work started under
@@ -290,7 +290,7 @@ class MediationService:
         one.  The new spec's rule closures are compiled *before* the
         swap and the shared :class:`~repro.perf.TranslationCache`
         sections for the spec are invalidated after it (entries keyed
-        under the old ``(version, digest)`` are unreachable either way;
+        under the old digest are unreachable either way;
         invalidation reclaims their slots eagerly and keeps the
         counters exact).
 

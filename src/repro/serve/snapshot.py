@@ -8,20 +8,20 @@ file and restores them on start, so a restarted worker answers its first
 requests from cache instead of re-translating the whole working set.
 
 Staleness is the whole problem: a snapshot written against yesterday's
-rule set must never be served against today's.  Cache keys embed
-:attr:`~repro.rules.MappingSpecification.version`, but that stamp is a
-*process-local* counter — meaningless across restarts.  Snapshots
-therefore carry a **content digest** of each specification's declarative
-surface (:attr:`~repro.rules.MappingSpecification.content_digest`), and
-:func:`restore_snapshot` re-keys entries under the live specification's
-current version stamp only when the digests match.  On a mismatch the
-restore discards that specification's entries and counts them in the
-:class:`RestoreReport`.
+rule set must never be served against today's.  Each section carries
+the **content digest** of its specification
+(:attr:`~repro.rules.MappingSpecification.content_digest`), the same
+identity the cache keys on, and :func:`restore_snapshot` restores a
+section only when the live specification's digest matches.  On a
+mismatch the restore discards that specification's entries and counts
+them in the :class:`RestoreReport`.
 
-The digest covers what a specification *declares*: rule names, constraint
-patterns, docs, and static exactness flags.  A behavioral change hidden
-inside a rule's emit/condition closures without any declarative change is
-not detectable — rename the rule (or touch its doc) when changing rule
+A specification loaded from a declarative payload digests the whole
+payload, so any edit to it discards the section.  One built in Python
+digests its rule surface (rule names, constraint patterns, docs, and
+static exactness flags): a behavioral change hidden inside a rule's
+emit/condition closures without any declarative change is not
+detectable — rename the rule (or touch its doc) when changing rule
 semantics, exactly as the vocabulary-lifecycle workflow prescribes.
 
 Snapshot files are written atomically (temp file + ``os.replace``) so a
@@ -98,9 +98,9 @@ class SnapshotReport:
     path: str | None
     entries: int
     specs: int
-    #: Entries skipped because their key's version stamp no longer
-    #: matches the live specification (logically dead weight) or names
-    #: a specification the caller did not supply.
+    #: Entries skipped because their key's digest no longer matches the
+    #: live specification (logically dead weight) or names a
+    #: specification the caller did not supply.
     skipped_stale: int
     skipped_unknown: int
 
@@ -137,8 +137,8 @@ def snapshot_payload(
 ) -> tuple[dict, SnapshotReport]:
     """The JSON payload for the hottest ``limit`` entries of ``cache``.
 
-    Only entries keyed at each live specification's *current* version are
-    exported — anything older is unreachable garbage awaiting eviction,
+    Only entries keyed under each live specification's digest are
+    exported — anything else is unreachable garbage awaiting eviction,
     not state worth persisting.
     """
     sections: dict[str, dict] = {}
@@ -146,16 +146,12 @@ def snapshot_payload(
     skipped_stale = 0
     skipped_unknown = 0
     for key, value in cache.export_entries(limit):
-        algo, spec_name, version, digest, fingerprint = key
+        algo, spec_name, digest, fingerprint = key
         spec = specs.get(spec_name)
         if spec is None:
             skipped_unknown += 1
             continue
-        if (
-            version != spec.version
-            or digest != spec.content_digest
-            or not isinstance(value, TranslationResult)
-        ):
+        if digest != spec.content_digest or not isinstance(value, TranslationResult):
             skipped_stale += 1
             continue
         section = sections.setdefault(
@@ -240,13 +236,7 @@ def _restore_entry(
         exact=bool(entry["exact"]),
         stats=TdqmStats(**entry["stats"]),
     )
-    key = (
-        entry["algo"],
-        spec.name,
-        spec.version,
-        spec.content_digest,
-        entry["fingerprint"],
-    )
+    key = (entry["algo"], spec.name, spec.content_digest, entry["fingerprint"])
     return cache.import_entry(key, result)
 
 
@@ -257,10 +247,11 @@ def restore_snapshot(
 ) -> RestoreReport:
     """Restore a snapshot into ``cache``, discarding stale sections.
 
-    Entries are re-keyed under each live specification's current version
-    stamp, so the normal invalidation machinery applies from the moment
-    they land.  A section whose digest no longer matches the live rule
-    set is discarded and reported in :attr:`RestoreReport.stale_specs`.
+    Entries are keyed under each live specification's digest, exactly
+    as the cache keys its own, so the normal invalidation machinery
+    applies from the moment they land.  A section whose digest no longer
+    matches the live rule set is discarded and reported in
+    :attr:`RestoreReport.stale_specs`.
     """
     source = Path(path)
     raw = json.loads(source.read_text(encoding="utf-8"))
@@ -353,8 +344,8 @@ class SnapshotTimer:
 
         Without this a long-lived timer would pin the retired spec
         object forever *and* keep exporting against its digest — every
-        entry of the replacement spec would be skipped as unknown-
-        version garbage.  Returns whether the table held the spec.
+        entry of the replacement spec would be skipped as stale.
+        Returns whether the table held the spec.
         """
         with self._write_lock:
             if spec.name not in self.specs:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.ast import C
-from repro.core.errors import RuleError, StaleIndexError
+from repro.core.errors import RuleError
 from repro.core.matching import Matcher, match_rule
 from repro.core.tdqm import tdqm_translate
 from repro.perf import compile_rule
@@ -98,21 +98,6 @@ class TestMatcherModes:
                 compiled = tdqm_translate(query, spec.matcher())
                 oracle = tdqm_translate(query, Matcher(spec.rules))
                 assert compiled == oracle, (spec.name, str(query))
-
-    def test_compiled_matcher_goes_stale_on_mutation(self):
-        spec = _fresh_spec("K_stale_compiled")
-        matcher = spec.matcher()
-        universe = frozenset([C("a0", "=", 1)])
-        matcher.potential(universe)
-        template = spec.get_rule("R_a2")
-        spec.add_rule(
-            rule("extra", patterns=template.patterns, emit=template.emit)
-        )
-        # Growing the universe forces an index probe, which must refuse.
-        with pytest.raises(StaleIndexError):
-            matcher.potential(universe | {C("a1", "=", 2)})
-        # A matcher rebuilt from the spec sees the new rule set.
-        assert spec.matcher().potential(universe)
 
     def test_precompile_builds_every_closure(self):
         spec = _fresh_spec("K_precompile")

@@ -86,6 +86,18 @@ class TestPublish:
         assert again.version == first.version
         assert len(registry.history("K_Amazon")) == 1
 
+    def test_emit_only_edit_is_a_new_version(self, tmp_path):
+        # Names, docs and patterns are unchanged; the digest covers the
+        # whole payload, so the edit still publishes.
+        registry = SpecRegistry(tmp_path)
+        registry.publish(V2)
+        edited = copy.deepcopy(V2)
+        edited["rules"][0]["emit"]["attr"] = "creator"
+        version = registry.publish(edited)
+        assert (version.version, version.active) == (2, True)
+        assert registry.load_raw("K_Amazon") == edited
+        assert [v.version for v in registry.history("K_Amazon")] == [1, 2]
+
     def test_payload_round_trips_bit_identically(self, tmp_path):
         registry = SpecRegistry(tmp_path)
         registry.publish(V1)

@@ -23,6 +23,7 @@ from repro.serve import (
     serve_jsonl,
     serve_tcp,
 )
+from repro.serve.protocol import MAX_BATCH_QUERIES
 
 QUERY = '[ln = "Clancy"] and [fn = "Tom"]'
 QUERIES = [
@@ -227,6 +228,17 @@ class TestProtocol:
         )
         assert response["ok"]
         assert len(response["results"]) == len(QUERIES)
+
+    def test_batch_past_the_bound_is_rejected_before_admission(self):
+        service = make_service()
+        too_many = [QUERY] * (MAX_BATCH_QUERIES + 1)
+        response = handle_request(service, {"op": "batch", "queries": too_many})
+        assert response["ok"] is False
+        assert response["error"]["type"] == "bad-request"
+        assert str(MAX_BATCH_QUERIES) in response["error"]["message"]
+        assert service.stats()["requests"] == 0
+        assert handle_request(service, {"op": "batch", "queries": QUERIES})["ok"]
+        assert service.stats()["requests"] == 1
 
     def test_stats_roundtrip(self):
         response = handle_request(make_service(), {"op": "stats"})

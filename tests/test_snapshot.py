@@ -10,6 +10,7 @@ corrupt every response for that fingerprint).
 
 from __future__ import annotations
 
+import copy
 import json
 import threading
 
@@ -18,8 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matching import Rule
+from repro.core.parser import parse_query
 from repro.core.tdqm import tdqm_translate
 from repro.perf import TranslationCache
+from repro.rules import MappingSpecification, spec_from_dict
 from repro.serve.snapshot import (
     SNAPSHOT_FORMAT,
     SnapshotTimer,
@@ -34,6 +37,43 @@ ATTRS = vocabulary(8)
 
 query_seeds = st.integers(min_value=0, max_value=10_000)
 spec_seeds = st.integers(min_value=0, max_value=200)
+
+
+#: One declarative payload.  ``edited`` changes one field of its rule
+#: and nothing else — none of these edits touches the rule surface
+#: (name, doc, patterns, condition count, static exactness).
+PAYLOAD = {
+    "name": "K_Amazon",
+    "target": "Amazon",
+    "rules": [
+        {
+            "name": "R_ln",
+            "match": [{"attr": "ln", "op": "=", "bind": "L"}],
+            "where": [{"cond": "value_is", "vars": ["L"]}],
+            "let": [{"var": "N", "fn": "str", "args": ["$L"]}],
+            "emit": {"attr": "author", "op": "=", "value": "$N"},
+            "exact": True,
+            "doc": "ln -> author",
+        }
+    ],
+}
+
+EDITS = {
+    "emit": lambda rule: rule["emit"].update(attr="creator"),
+    "let": lambda rule: rule["let"][0].update(fn="upper"),
+    "where": lambda rule: rule["where"][0].update(cond="attr_is"),
+}
+
+
+def edited(field: str) -> dict:
+    payload = copy.deepcopy(PAYLOAD)
+    EDITS[field](payload["rules"][0])
+    return payload
+
+
+def without_first_rule(spec: MappingSpecification) -> MappingSpecification:
+    """The same-name spec with one rule fewer: a changed rule set."""
+    return MappingSpecification(spec.name, spec.target, spec.rules[1:])
 
 
 def warm(cache: TranslationCache, spec, seeds):
@@ -53,33 +93,57 @@ class TestSpecDigest:
 
     def test_sensitive_to_rule_removal(self):
         spec = random_spec(ATTRS, pair_count=3, seed=7)
-        before = spec.content_digest
-        spec.remove_rule(spec.rules[0].name)
-        assert spec.content_digest != before
+        assert without_first_rule(spec).content_digest != spec.content_digest
 
     def test_sensitive_to_rule_addition(self):
         spec = random_spec(ATTRS, pair_count=3, seed=7)
-        before = spec.content_digest
         donor = random_spec(ATTRS, pair_count=1, seed=123).rules[0]
-        spec.add_rule(
-            Rule(
-                name="donated",
-                patterns=donor.patterns,
-                emit=donor.emit,
-                conditions=donor.conditions,
-                exact=donor.exact,
-            )
+        donated = Rule(
+            name="donated",
+            patterns=donor.patterns,
+            emit=donor.emit,
+            conditions=donor.conditions,
+            exact=donor.exact,
         )
-        assert spec.content_digest != before
+        grown = MappingSpecification(spec.name, spec.target, (*spec.rules, donated))
+        assert grown.content_digest != spec.content_digest
 
-    def test_independent_of_version_stamp(self):
-        # The stamp is process-local; the digest must not move when the
-        # rule set round-trips back to the same declarative surface.
-        spec = random_spec(ATTRS, pair_count=3, seed=7)
-        before = spec.content_digest
-        removed = spec.remove_rule(spec.rules[-1].name)
-        spec.add_rule(removed)  # version bumped twice, same rules
-        assert spec.content_digest == before
+    @pytest.mark.parametrize("field", sorted(EDITS))
+    def test_payload_edit_changes_digest(self, field):
+        # The rule surface is unchanged; only the payload digest sees it.
+        assert spec_from_dict(edited(field)).content_digest != (
+            spec_from_dict(PAYLOAD).content_digest
+        )
+
+    def test_python_payload_digests_like_its_json(self):
+        # A Python caller's tuples and sets load, and digest like the
+        # JSON the same payload arrives as through the registry.
+        assert spec_from_dict(json.loads(json.dumps(PAYLOAD))).content_digest == (
+            spec_from_dict(PAYLOAD).content_digest
+        )
+        as_json = copy.deepcopy(PAYLOAD)
+        as_json["rules"][0]["where"] = [
+            {"cond": "attr_in", "var": "L", "allowed": ["isbn", "ln"]}
+        ]
+        pythonic = copy.deepcopy(as_json)
+        pythonic["rules"] = tuple(pythonic["rules"])
+        pythonic["rules"][0]["where"] = (
+            {"cond": "attr_in", "var": "L", "allowed": {"ln", "isbn"}},
+        )
+        assert spec_from_dict(pythonic).content_digest == (
+            spec_from_dict(as_json).content_digest
+        )
+
+    def test_payload_json_cannot_sort_still_loads(self):
+        # Mixed-type table keys, from a Python caller: json cannot sort
+        # them, and the payload still loads with a digest of its own.
+        mixed = copy.deepcopy(PAYLOAD)
+        mixed["rules"][0]["let"] = [
+            {"var": "N", "table": {1: "one", "Clancy": "C"}, "key": "$L"}
+        ]
+        digest = spec_from_dict(mixed).content_digest
+        assert digest == spec_from_dict(copy.deepcopy(mixed)).content_digest
+        assert digest != spec_from_dict(PAYLOAD).content_digest
 
 
 class TestSnapshotRoundTrip:
@@ -123,13 +187,34 @@ class TestSnapshotRoundTrip:
         path = tmp_path / "shard.json"
         report = write_snapshot(path, cache, {spec.name: spec})
 
-        spec.remove_rule(spec.rules[0].name)
+        changed = without_first_rule(spec)
         fresh = TranslationCache()
-        restore = restore_snapshot(path, fresh, {spec.name: spec})
+        restore = restore_snapshot(path, fresh, {changed.name: changed})
         assert restore.restored == 0
         assert restore.discarded_stale == report.entries
         assert restore.stale_specs == (spec.name,)
         assert fresh.stats.size == 0
+
+    def test_emit_only_edit_discards_section(self, tmp_path):
+        # A restart onto an edited payload must never serve the old
+        # emission: the section goes, and the first lookup recomputes.
+        spec = spec_from_dict(PAYLOAD)
+        query = parse_query('[ln = "Clancy"]')
+        cache = TranslationCache()
+        cache.tdqm(query, spec)
+        path = tmp_path / "shard.json"
+        report = write_snapshot(path, cache, {spec.name: spec})
+        assert report.entries == 1
+
+        live = spec_from_dict(edited("emit"))
+        fresh = TranslationCache()
+        restore = restore_snapshot(path, fresh, {live.name: live})
+        assert (restore.restored, restore.discarded_stale) == (0, 1)
+        assert restore.stale_specs == (live.name,)
+        answer = fresh.tdqm(query, live)
+        assert answer.mapping == tdqm_translate(query, live).mapping
+        assert "creator" in str(answer.mapping)
+        assert fresh.stats.hits == 0
 
     def test_unknown_spec_sections_are_discarded(self, tmp_path):
         spec = random_spec(ATTRS, pair_count=2, seed=5)
@@ -350,9 +435,9 @@ def test_round_trip_discards_entries_whose_spec_changed(tmp_path_factory, sseed,
     path = tmp_path_factory.mktemp("snap") / "shard.json"
     report = write_snapshot(path, cache, {spec.name: spec})
 
-    spec.remove_rule(spec.rules[0].name)
+    changed = without_first_rule(spec)
     fresh = TranslationCache()
-    restore = restore_snapshot(path, fresh, {spec.name: spec})
+    restore = restore_snapshot(path, fresh, {changed.name: changed})
     assert restore.restored == 0
     assert restore.discarded_stale == report.entries
     assert fresh.stats.size == 0
