@@ -23,7 +23,9 @@ merely conservative when a rule author under-declares exactness.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.core.ast import And, Query, conj
 from repro.core.matching import Matcher
@@ -41,11 +43,13 @@ class FilterPlan:
     """Per-source mappings plus the residue filter — Eq. 2's ingredients.
 
     Invariant (Eq. 3): ``Q ≡ filter ∧ mappings[s1] ∧ ... ∧ mappings[sn]``
-    where each mapping applies to its own source's tuples.
+    where each mapping applies to its own source's tuples.  ``mappings``
+    is read-only: a mediator caches its plans and hands the same
+    :class:`FilterPlan` to every request for the query.
     """
 
     query: Query
-    mappings: dict
+    mappings: Mapping[str, Query]
     filter: Query
 
 
@@ -96,4 +100,6 @@ def build_filter(
 
         residue = [c for i, c in enumerate(conjuncts) if i not in droppable]
         obs.count("filter.residue_conjuncts", len(residue))
-        return FilterPlan(query=query, mappings=mappings, filter=conj(residue))
+        return FilterPlan(
+            query=query, mappings=MappingProxyType(mappings), filter=conj(residue)
+        )

@@ -16,26 +16,38 @@ ways:
 Eq. 3 (``Q ≡ F ∧ S1(Q) ∧ ... ∧ Sn(Q)``) says the two answers must agree —
 the end-to-end correctness check the integration tests and the mediator
 bench run on every workload.
+
+Everything in Eq. 2 except the source rows is a pure function of ``Q``
+and the served specifications, so :meth:`Mediator.answer_mediated`
+plans each distinct query once.  Per view-component choice a plan holds
+the :class:`~repro.core.filters.FilterPlan`, each source's call, the
+reassembly layout, and ``F`` compiled with each ∧/∨ node's tests of
+stored attributes ahead of its view virtuals.  Plans live in the
+mediator's :class:`~repro.perf.TranslationCache`, keyed by the
+mediator, every served spec's name and content digest, and the query
+fingerprint; a repeated query costs one lookup, the source scans, and
+the post-filter.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from itertools import product
 
-from repro.core.ast import AttrRef, Query
+from repro.core.ast import And, AttrRef, Not, Or, Query
 from repro.core.errors import EvaluationError, SourceUnavailableError, TranslationError
 from repro.core.filters import FilterPlan, build_filter
 from repro.core.normalize import normalize
 from repro.core.tdqm import TranslationResult
-from repro.engine.eval import RowEnv, Virtual, compile_predicate, evaluate
+from repro.engine.eval import RowEnv, RowPredicate, Virtual, compile_predicate, evaluate
 from repro.engine.source import Source
 from repro.engine.views import UnionViewDef, ViewDef
 from repro.obs import trace as obs
-from repro.perf import TranslationCache, translate_batch
+from repro.perf import TranslationCache, query_fingerprint, translate_batch
 from repro.resilience import (
     ResilienceConfig,
     SourceOutcome,
@@ -52,6 +64,33 @@ _DEFAULT_CACHE = object()
 #: One result: ((view, index) -> view tuple) frozen for comparison.
 ResultRow = tuple
 
+#: A view instance a query ranges over: (view name, index or None).
+_Instance = tuple[str, int | None]
+
+#: Per view instance: its component and its (environment key, alias) pairs.
+_Layout = tuple[tuple[ViewDef, tuple[tuple[tuple, str], ...]], ...]
+
+
+@dataclass(frozen=True)
+class _Choice:
+    """Eq. 2 for one view-component choice, minus the source rows."""
+
+    plan: FilterPlan
+    #: (source name, {environment key: relation}, S_i(Q)), by source name.
+    calls: tuple[tuple[str, Mapping[tuple, str], Query], ...]
+    #: In the order of the plan's instances.
+    layout: _Layout
+    #: ``F`` compiled cheapest-first (see :func:`_cheapest_first`).
+    residue: RowPredicate
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Everything of one query's Eq. 2 answer except the source rows."""
+
+    instances: tuple[_Instance, ...]
+    choices: tuple[_Choice, ...]
+
 
 class MediatedAnswer:
     """The mediated result plus the plan(s) that produced it.
@@ -59,7 +98,9 @@ class MediatedAnswer:
     For plain views there is exactly one plan; for *union* views (Section
     2) the query runs once per component choice and ``plans`` holds one
     :class:`~repro.core.filters.FilterPlan` per choice (the residue filter
-    depends on which sources the choice involves).
+    depends on which sources the choice involves).  The plans come from
+    the mediator's plan cache and are shared by every answer to the same
+    query (commuted spellings included), so they are read-only.
 
     Under a resilient mediator the answer additionally carries
     **partial-answer semantics**: ``outcomes`` lists one
@@ -139,6 +180,9 @@ class Mediator:
         if translation_cache is _DEFAULT_CACHE:
             translation_cache = TranslationCache()
         self.translation_cache = translation_cache
+        # Plans depend on this mediator's views, virtuals and sources, not
+        # only on its specs, so mediators sharing a cache key theirs apart.
+        self._plan_scope = object()
         unknown = set(self.specs) - set(self.sources)
         if unknown:
             raise TranslationError(
@@ -157,7 +201,8 @@ class Mediator:
 
         Adapters never stack: the new mediator wraps the *underlying*
         sources, and shares views, specs, virtuals, and the translation
-        cache with this one.
+        cache with this one.  It keys its own mediation plans in that
+        cache.
         """
         return Mediator(
             views=self.views,
@@ -245,6 +290,16 @@ class Mediator:
         computed per choice: a conjunct may be exactly enforced by one
         component's source but not another's.
 
+        The plan comes from the translation cache (see the module
+        docstring).  Its ``F`` runs each ∧/∨ node's stored-attribute
+        tests before its view-virtual ones, so a residue conjunct that
+        raises, such as ``[kwd = "x"]``, raises only on rows an earlier
+        stored-attribute test lets through, as rows the source mapping
+        filters out never reach ``F`` at all.  A row on which that order
+        raises is re-tested in the query's own order, so every answer
+        equals the query-order one and every error is one that order
+        raises.
+
         Under a resilience config, source calls fan out concurrently and
         failures degrade to a **partial answer** (``complete=False``,
         per-source outcomes attached): a choice with a failed source
@@ -256,31 +311,14 @@ class Mediator:
             strict = self.resilience.strict if self.resilience is not None else False
         with obs.span("mediator.answer_mediated"):
             query = normalize(query)
-            instances = self.view_instances(query)
-            choice_lists = [self._components_of(view) for view, _ in instances]
-
+            plan = self._plan(query)
             rows: list[ResultRow] = []
-            plans: list[FilterPlan] = []
             outcomes: list[SourceOutcome] = []
-            for choice in product(*choice_lists):
+            for choice in plan.choices:
                 obs.count("mediator.choices")
-                components = dict(zip(instances, choice))
-                involved = set()
-                for component in choice:
-                    involved |= component.sources()
-                specs = {name: self.specs[name] for name in sorted(involved)}
-                plan = build_filter(query, specs, cache=self.translation_cache)
-                plans.append(plan)
-                choice_rows, choice_outcomes = self._run_choice(
-                    query, plan, instances, components
-                )
+                choice_rows, choice_outcomes = self._run_choice(plan.instances, choice)
                 rows.extend(choice_rows)
                 outcomes.extend(choice_outcomes)
-            if not plans:
-                # Constant query over zero instances: nothing to execute.
-                plans.append(build_filter(query, self.specs, cache=self.translation_cache))
-                if evaluate(plans[0].filter, RowEnv({}, self.view_virtuals)):
-                    rows.append(())
             complete = all(outcome.ok for outcome in outcomes)
             if not complete:
                 failed = [o for o in outcomes if not o.ok]
@@ -293,27 +331,88 @@ class Mediator:
                         outcomes=tuple(failed),
                     )
             obs.count("mediator.rows_emitted", len(rows))
-            return MediatedAnswer(rows, plans, outcomes=outcomes, complete=complete)
+            return MediatedAnswer(
+                rows,
+                [choice.plan for choice in plan.choices],
+                outcomes=outcomes,
+                complete=complete,
+            )
 
-    def _source_keys(
-        self,
-        source_name: str,
-        instances: list[tuple[str, int | None]],
-        components: Mapping[tuple[str, int | None], ViewDef],
-    ) -> dict:
-        """Environment keys a source's relation instances bind in Eq. 2."""
-        keys = {}
-        for view, index in instances:
-            for base in components[(view, index)].bases:
-                if base.source == source_name:
-                    keys[((view, base.relation), index)] = base.relation
-        return keys
+    def _plan(self, query: Query) -> _Plan:
+        """The cached plan for normalized ``query`` (built on a miss)."""
+        # One read of the spec table: the key and the plan must come from
+        # the same table, or a reload between them files new rules under
+        # an old key.
+        specs = self.specs
+        cache = self.translation_cache
+        if cache is None:
+            return self._build_plan(query, specs)
+        return cache.plan(
+            self._plan_scope,
+            specs,
+            query_fingerprint(query, normalized=True),
+            lambda: self._build_plan(query, specs),
+        )
+
+    def _build_plan(
+        self, query: Query, specs: Mapping[str, MappingSpecification]
+    ) -> _Plan:
+        """Eq. 2 for normalized ``query`` under ``specs``, minus the rows."""
+        instances = tuple(self.view_instances(query))
+        keys = [((view,), index) for view, index in instances]
+        choices = []
+        # Zero instances (a constant query over several views) still make
+        # one choice: product() of nothing yields one empty combination.
+        for components in product(*(self._components_of(view) for view, _ in instances)):
+            involved: set[str] = set()
+            for component in components:
+                involved |= component.sources()
+            plan = build_filter(
+                query,
+                {name: specs[name] for name in sorted(involved)},
+                cache=self.translation_cache,
+            )
+            calls = tuple(
+                (name, _source_keys(name, instances, components), plan.mappings[name])
+                for name in sorted(plan.mappings)
+            )
+            layout = tuple(
+                (
+                    component,
+                    tuple(
+                        (((view, base.relation), index), base.relation)
+                        for base in component.bases
+                    ),
+                )
+                for (view, index), component in zip(instances, components)
+            )
+            choices.append(
+                _Choice(plan, calls, layout, self._compile_residue(plan.filter, keys))
+            )
+        return _Plan(instances, tuple(choices))
+
+    def _compile_residue(self, residue: Query, keys: Sequence[tuple]) -> RowPredicate:
+        """``F`` compiled with its stored-attribute tests first.
+
+        A row on which that order raises is evaluated again in the
+        query's order, which answers or raises as it always did.
+        """
+        virtuals = self.view_virtuals
+        ordered = _cheapest_first(residue, virtuals)
+        fast = compile_predicate(ordered, keys, virtuals)
+        if ordered is residue:
+            return fast
+
+        def predicate(rows: Sequence[Mapping]) -> bool:
+            try:
+                return fast(rows)
+            except Exception:
+                return evaluate(residue, RowEnv(dict(zip(keys, rows)), virtuals))
+
+        return predicate
 
     def _execute_resilient(
-        self,
-        plan: FilterPlan,
-        instances: list[tuple[str, int | None]],
-        components: Mapping[tuple[str, int | None], ViewDef],
+        self, choice: _Choice
     ) -> tuple[list[list[dict]], list[SourceOutcome]]:
         """Fan the choice's source calls out over a thread pool.
 
@@ -326,18 +425,12 @@ class Mediator:
         land deterministically in the calling thread's trace.
         """
         assert self.resilience is not None
-        ordered = sorted(plan.mappings)
-        jobs = []  # (position, source adapter, keys, translated query)
-        per_source: list[list[dict]] = [[] for _ in ordered]
-        for position, source_name in enumerate(ordered):
-            keys = self._source_keys(source_name, instances, components)
-            if not keys:
-                per_source[position] = [{}]
-            else:
-                jobs.append(
-                    (position, self.sources[source_name], keys, plan.mappings[source_name])
-                )
+        jobs = [
+            (self.sources[name], keys, translated)
+            for name, keys, translated in choice.calls
+        ]
         outcomes: list[SourceOutcome] = []
+        per_source: list[list[dict]] = [[] for _ in jobs]
         workers = self.resilience.workers_for(len(jobs))
         with obs.span("mediator.fanout", sources=len(jobs), workers=workers):
             if workers > 1 and len(jobs) > 1:
@@ -345,12 +438,12 @@ class Mediator:
                 # fanout span's children are deterministic however the
                 # pool schedules the workers.
                 bound = [
-                    (job, obs.bind("mediator.call", source=job[1].name))
+                    (job, obs.bind("mediator.call", source=job[0].name))
                     for job in jobs
                 ]
 
                 def run(entry):
-                    (_, adapter, keys, translated), handoff = entry
+                    (adapter, keys, translated), handoff = entry
                     with handoff:
                         rows, outcome = adapter.call(keys, translated)
                         record_outcome(outcome)
@@ -360,12 +453,12 @@ class Mediator:
                     results = list(pool.map(run, bound))
             else:
                 results = []
-                for _, adapter, keys, translated in jobs:
+                for adapter, keys, translated in jobs:
                     with obs.span("mediator.call", source=adapter.name):
                         rows, outcome = adapter.call(keys, translated)
                         record_outcome(outcome)
                     results.append((rows, outcome))
-            for (position, adapter, _, _), (rows, outcome) in zip(jobs, results):
+            for position, (rows, outcome) in enumerate(results):
                 outcomes.append(outcome)
                 if rows is not None:
                     obs.count("mediator.source_rows", len(rows))
@@ -373,29 +466,20 @@ class Mediator:
         return per_source, outcomes
 
     def _run_choice(
-        self,
-        query: Query,
-        plan: FilterPlan,
-        instances: list[tuple[str, int | None]],
-        components: Mapping[tuple[str, int | None], ViewDef],
+        self, instances: tuple[_Instance, ...], choice: _Choice
     ) -> tuple[list[ResultRow], list[SourceOutcome]]:
         """One Eq. 2 execution with a fixed view-component per instance."""
         # Each source evaluates its mapping over the relation instances it
         # contributes to the queried view instances.
         outcomes: list[SourceOutcome] = []
         if self.resilience is not None:
-            per_source, outcomes = self._execute_resilient(plan, instances, components)
+            per_source, outcomes = self._execute_resilient(choice)
         else:
             per_source = []
-            for source_name in sorted(plan.mappings):
-                source = self.sources[source_name]
-                keys = self._source_keys(source_name, instances, components)
-                if not keys:
-                    per_source.append([{}])
-                    continue
+            for source_name, keys, translated in choice.calls:
                 started = time.perf_counter()
                 with obs.span("mediator.execute", source=source_name):
-                    executed = source.execute(keys, plan.mappings[source_name])
+                    executed = self.sources[source_name].execute(keys, translated)
                     obs.count("mediator.source_rows", len(executed))
                 registry = obs.metrics_sink()
                 if registry is not None:
@@ -409,37 +493,18 @@ class Mediator:
                 per_source.append(executed)
 
         # Reassemble view tuples through the conversion functions and apply
-        # the residue filter F, compiled once for this choice's instances.
-        residue = compile_predicate(
-            plan.filter,
-            [((view,), index) for view, index in instances],
-            self.view_virtuals,
+        # the residue filter F.  One source's bound dicts are used as they
+        # are; several sources' are merged per combination.
+        bound_rows: Iterable[Mapping] = (
+            per_source[0] if len(per_source) == 1 else map(_merged, product(*per_source))
         )
+        layout = choice.layout
+        residue = choice.residue
         out: list[ResultRow] = []
         filtered = 0
-        for parts in product(*per_source):
-            merged: dict = {}
-            for part in parts:
-                merged.update(part)
-            view_rows = []
-            ok = True
-            for view, index in instances:
-                view_def = components[(view, index)]
-                by_alias = {}
-                for base in view_def.bases:
-                    key = ((view, base.relation), index)
-                    if key not in merged:
-                        ok = False
-                        break
-                    by_alias[base.relation] = merged[key]
-                if not ok:
-                    break
-                view_row = view_def.combine(by_alias)
-                if view_row is None:
-                    ok = False
-                    break
-                view_rows.append(view_row)
-            if not ok:
+        for bound in bound_rows:
+            view_rows = _reassemble(bound, layout)
+            if view_rows is None:
                 continue
             filtered += 1
             if residue(view_rows):
@@ -493,6 +558,66 @@ class Mediator:
         direct = Counter(self.answer_direct(query))
         mediated = Counter(self.answer_mediated(query).rows)
         return direct == mediated
+
+
+def _source_keys(
+    source_name: str,
+    instances: Sequence[_Instance],
+    components: Sequence[ViewDef],
+) -> dict[tuple, str]:
+    """Environment keys a source's relation instances bind in Eq. 2."""
+    keys = {}
+    for (view, index), component in zip(instances, components):
+        for base in component.bases:
+            if base.source == source_name:
+                keys[((view, base.relation), index)] = base.relation
+    return keys
+
+
+def _cheapest_first(query: Query, virtuals: Collection[str]) -> Query:
+    """``query`` with each ∧/∨ node's children stably sorted by how many
+    constraints on view-virtual attributes each contains.
+
+    Tests of stored attributes then run before the virtuals (a ``kwd``
+    tokenizes title and subject per row).  Returns ``query`` itself when
+    no order changes.
+    """
+    if isinstance(query, Not):
+        child = _cheapest_first(query.child, virtuals)
+        return query if child is query.child else Not(child)
+    if not isinstance(query, (And, Or)):
+        return query
+    children = [_cheapest_first(child, virtuals) for child in query.children]
+    children.sort(
+        key=lambda child: sum(c.lhs.attr in virtuals for c in child.iter_constraints())
+    )
+    if all(new is old for new, old in zip(children, query.children)):
+        return query
+    return type(query)(children)
+
+
+def _merged(parts: Sequence[Mapping]) -> dict:
+    merged: dict = {}
+    for part in parts:
+        merged.update(part)
+    return merged
+
+
+def _reassemble(bound: Mapping, layout: _Layout) -> list[Mapping] | None:
+    """The view rows of one bound source combination, or ``None`` when a
+    base is missing or the bases do not join."""
+    view_rows = []
+    for view_def, bindings in layout:
+        by_alias = {}
+        for key, alias in bindings:
+            if key not in bound:
+                return None
+            by_alias[alias] = bound[key]
+        view_row = view_def.combine(by_alias)
+        if view_row is None:
+            return None
+        view_rows.append(view_row)
+    return view_rows
 
 
 def _canonical(instances, rows) -> ResultRow:

@@ -1,4 +1,4 @@
-"""LRU translation cache — memoized whole-query translations.
+"""LRU translation cache — memoized whole-query translations and plans.
 
 A mediator serving heavy traffic re-translates the same canonical
 queries against the same specifications constantly.  Translation is pure
@@ -17,6 +17,16 @@ so whole results can be memoized:
   shared by reference (results are immutable in practice: never mutate
   a cached result).
 * **Eviction** — least-recently-used beyond ``maxsize`` entries.
+
+The same LRU holds **mediation plans** (:meth:`TranslationCache.plan`):
+everything of Eq. 2 except the source rows, which is a pure function of
+the query and the served specifications.  A plan key is ``("plan",
+mediator scope, ((source, spec name, content digest), ...),
+fingerprint)``.  Plans share ``maxsize`` and the counters with
+translations; :meth:`~TranslationCache.invalidate` drops every plan
+whose key names the spec, and :meth:`~TranslationCache.export_entries`
+(the snapshot source) skips plans — they hold compiled closures and are
+rebuilt from the warm translations on their first request.
 
 The cache is **thread-safe**: an internal :class:`threading.RLock`
 guards the LRU order, the counters, and eviction, so one cache can be
@@ -41,7 +51,7 @@ import threading
 from collections import OrderedDict
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TypeVar
 
 from repro.core.ast import Query
 from repro.core.normalize import normalize
@@ -54,10 +64,15 @@ if TYPE_CHECKING:
 
 __all__ = ["CacheStats", "TranslationCache", "translate_batch"]
 
-#: Cache key: (algorithm, spec name, spec content digest, query fingerprint).
-_Key = tuple[str, str, str, str]
+#: Translation key: ("tdqm", spec name, spec content digest, query fingerprint);
+#: plan key: ("plan", scope, ((source, spec name, digest), ...), fingerprint).
+_Key = tuple
+
+_PLAN = "plan"
 
 _MISS = object()
+
+_T = TypeVar("_T")
 
 
 class _InFlight:
@@ -118,7 +133,7 @@ class CacheStats:
 
 
 class TranslationCache:
-    """An LRU memo of whole translations (see module docstring).
+    """An LRU memo of whole translations and mediation plans (see module docstring).
 
     One cache may serve any number of specifications; keys embed the
     specification name *and* content digest, so a replaced rule set
@@ -165,8 +180,9 @@ class TranslationCache:
         """Eagerly drop entries for ``spec`` (by name), or all when ``None``.
 
         Digest-keyed entries of a replaced rule set are already
-        unreachable; this reclaims their slots.  Returns the number of
-        entries dropped.
+        unreachable; this reclaims their slots.  The entries of a spec
+        are its translations and every plan whose key names it.  Returns
+        the number of entries dropped.
         """
         with self._lock:
             if spec is None:
@@ -174,7 +190,7 @@ class TranslationCache:
                 self._entries.clear()
             else:
                 name = spec if isinstance(spec, str) else spec.name
-                stale = [key for key in self._entries if key[1] == name]
+                stale = [key for key in self._entries if _filed_under(key, name)]
                 for key in stale:
                     del self._entries[key]
                 dropped = len(stale)
@@ -241,16 +257,19 @@ class TranslationCache:
     # -- export / import (snapshot support) ------------------------------------
 
     def export_entries(self, limit: int | None = None) -> list[tuple[_Key, object]]:
-        """The hottest entries, most-recently-used first.
+        """The hottest translation entries, most-recently-used first.
 
         The snapshot layer (:mod:`repro.serve.snapshot`) persists these
-        so a restarted worker starts warm.  ``limit`` bounds the export
-        to the hottest entries.  The export is a consistent
-        point-in-time copy: keys and value references are captured under
-        the cache lock, and cached values are immutable by contract.
+        so a restarted worker starts warm.  Plans are not exported: they
+        hold compiled closures, and a restarted worker rebuilds each from
+        the restored translations on its first request.  ``limit`` bounds
+        the export to the hottest translations.  The export is a
+        consistent point-in-time copy: keys and value references are
+        captured under the cache lock, and cached values are immutable by
+        contract.
         """
         with self._lock:
-            items = list(self._entries.items())
+            items = [item for item in self._entries.items() if item[0][0] != _PLAN]
         items.reverse()  # OrderedDict iterates cold-first; snapshots want hot-first
         return items if limit is None else items[:limit]
 
@@ -292,6 +311,36 @@ class TranslationCache:
         return self._get_or_compute(  # type: ignore[return-value]
             key, lambda: tdqm_translate(normalized_query, spec)
         )
+
+    def plan(
+        self,
+        scope: object,
+        specs: Mapping[str, MappingSpecification],
+        fingerprint: str,
+        build: Callable[[], _T],
+    ) -> _T:
+        """The mediation plan for ``fingerprint``, built once per key.
+
+        ``scope`` names the mediator (plans also depend on its views,
+        view virtuals and sources), ``specs`` is the source → spec table
+        the plan is built from.  A plan lookup counts like a translation
+        lookup, is single-flighted the same way, and a ``build`` that
+        raises stores nothing.
+        """
+        served = tuple(
+            (source, spec.name, spec.content_digest)
+            for source, spec in sorted(specs.items())
+        )
+        return self._get_or_compute(  # type: ignore[return-value]
+            (_PLAN, scope, served, fingerprint), build
+        )
+
+
+def _filed_under(key: _Key, name: str) -> bool:
+    """Is ``key`` filed under the spec called ``name``?"""
+    if key[0] == _PLAN:
+        return any(spec_name == name for _, spec_name, _ in key[2])
+    return key[1] == name
 
 
 def translate_batch(

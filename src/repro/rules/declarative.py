@@ -55,19 +55,24 @@ A loaded specification's
 of the payload's canonical JSON (``json.dumps(data, sort_keys=True)``),
 so an edit to any field of the payload gives the specification a new
 identity.  Values JSON lacks digest as their JSON image (a tuple as a
-list, a set as a sorted list, a number used as a dict key as its
-string, anything else as its ``repr``), so two payloads from Python
-callers that differ only there share a digest; payloads that arrive as
-JSON cannot differ that way.  A custom ``functions=`` registry is not
-part of the digest; the serving stack always loads with the default
-registry.
+list, a set as a sorted list, anything else as its ``repr``), so two
+payloads from Python callers that differ only there share a digest;
+payloads that arrive as JSON cannot differ that way.  The keys of a
+``let`` table are the exception, because a table looks its key up by
+type: a payload with a table key that is not a string (``{1: "hit"}``,
+which JSON would write as ``{"1": "hit"}``) digests each key of its
+dicts together with the key's type, under a prefix no JSON text starts
+with, so it never shares a digest with a JSON payload or with one whose
+table keys differ only in type.  (The loader reads no other dict key
+by value.)  A custom ``functions=`` registry is not part of the digest;
+the serving stack always loads with the default registry.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 from repro.conversions import (
     category_to_subject,
@@ -356,15 +361,46 @@ def _json_image(value: object) -> object:
     return repr(value)
 
 
+def _has_typed_table(rules: Iterable[Mapping]) -> bool:
+    """Does a ``let`` table of these (loaded) rules have a key that is
+    not a string?"""
+    return any(
+        isinstance(step.get("table"), dict)
+        and not all(isinstance(key, str) for key in step["table"])
+        for rule in rules
+        for step in rule.get("let", ())
+    )
+
+
+def _typed_keys(value: object) -> object:
+    """``value`` with every dict key written as its type name and repr."""
+    if isinstance(value, dict):
+        return {
+            f"{type(key).__name__}:{key!r}": _typed_keys(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [_typed_keys(item) for item in value]
+    return value
+
+
 def _payload_digest(data: Mapping) -> str:
     """sha256 of the payload's canonical JSON (see the module docstring)."""
-    try:
-        canonical = json.dumps(data, sort_keys=True, default=_json_image)
-    except TypeError:
-        # Dict keys json cannot sort or encode (mixed or tuple keys, from
-        # Python callers only).  The repr still tells payloads apart; it
-        # may tell equal ones apart too, which costs a miss, not an answer.
-        canonical = repr(data)
+    if _has_typed_table(data["rules"]):
+        # Only a Python caller can send these keys.  JSON text starts
+        # with "{", never with this prefix.
+        canonical = "typed-keys:" + json.dumps(
+            _typed_keys(data), sort_keys=True, default=_json_image
+        )
+    else:
+        try:
+            canonical = json.dumps(data, sort_keys=True, default=_json_image)
+        except TypeError:
+            # Keys json cannot sort (mixed types) outside any table, where
+            # the loader reads no key by value.  The repr still tells
+            # payloads apart; it may tell equal ones apart too, which
+            # costs a miss, not an answer.
+            canonical = repr(data)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

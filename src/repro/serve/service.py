@@ -249,8 +249,9 @@ class MediationService:
     ) -> "MediatedAnswer":
         """Answer one query through the full Eq. 2 pipeline.
 
-        Every request scans its sources itself; the per-source
-        translations behind the filter come from the shared cache.
+        Every request scans its sources itself; the mediation plan (the
+        per-source translations, the residue filter, its compiled
+        predicate) comes from the shared cache, built once per query.
         """
         info: dict = {}
         with self._admitted_request("mediate", info):

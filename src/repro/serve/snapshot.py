@@ -3,9 +3,12 @@
 A long-lived worker accumulates a :class:`~repro.perf.TranslationCache`
 working set worth far more than its memory cost — the ROADMAP's serving
 target is many restarts (deploys, rebalances, crashes) against the same
-query stream.  This module snapshots the hottest cache entries to a JSON
-file and restores them on start, so a restarted worker answers its first
-requests from cache instead of re-translating the whole working set.
+query stream.  This module snapshots the hottest cached translations to
+a JSON file and restores them on start, so a restarted worker answers
+its first requests from cache instead of re-translating the whole
+working set.  The cache's mediation plans are not exported (they hold
+compiled closures); the first ``mediate`` of a query after a restart
+rebuilds its plan from the restored translations.
 
 Staleness is the whole problem: a snapshot written against yesterday's
 rule set must never be served against today's.  Each section carries
@@ -135,11 +138,12 @@ def snapshot_payload(
     *,
     limit: int | None = None,
 ) -> tuple[dict, SnapshotReport]:
-    """The JSON payload for the hottest ``limit`` entries of ``cache``.
+    """The JSON payload for the hottest ``limit`` translations of ``cache``.
 
     Only entries keyed under each live specification's digest are
     exported — anything else is unreachable garbage awaiting eviction,
-    not state worth persisting.
+    not state worth persisting.  Mediation plans are never exported and
+    count as neither stale nor unknown.
     """
     sections: dict[str, dict] = {}
     entries = 0

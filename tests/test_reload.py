@@ -134,6 +134,32 @@ class TestReloadSpec:
         assert report["digest"] != report["previous_digest"]
         assert answer(service) == '[creator = "Clancy"]'
 
+    def test_table_key_type_edit_is_a_change(self):
+        # The two payloads write the same JSON; only the table key's type
+        # differs, and with it the answer to [code = 1].
+        def payload(key: object) -> dict:
+            return {
+                "name": "K_Amazon",
+                "target": "Amazon",
+                "rules": [
+                    {
+                        "name": "R_code",
+                        "match": [{"attr": "code", "op": "=", "bind": "C"}],
+                        "let": [{"var": "T", "table": {key: "hit"}, "key": "$C"}],
+                        "emit": {"attr": "t", "op": "=", "value": "$T"},
+                        "exact": True,
+                    }
+                ],
+            }
+
+        service = make_service()
+        service.reload_spec(spec_from_dict(payload(1)))
+        assert answer(service, "[code = 1]") == '[t = "hit"]'
+        report = service.reload_spec(spec_from_dict(payload("1")))
+        assert report["changed"] is True
+        assert report["digest"] != report["previous_digest"]
+        assert str(service.translate("[code = 1]")["Amazon"].mapping) == "true"
+
     def test_same_digest_reload_is_a_noop_preserving_cache(self):
         service = make_service()
         service.reload_spec(spec_from_dict(WORD))

@@ -11,6 +11,7 @@ corrupt every response for that fingerprint).
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import threading
 
@@ -63,6 +64,23 @@ EDITS = {
     "let": lambda rule: rule["let"][0].update(fn="upper"),
     "where": lambda rule: rule["where"][0].update(cond="attr_is"),
 }
+
+
+def code_table_payload(key: object) -> dict:
+    """A spec whose one rule maps ``code`` through the table ``{key: "hit"}``."""
+    return {
+        "name": "K_Amazon",
+        "target": "Amazon",
+        "rules": [
+            {
+                "name": "R_code",
+                "match": [{"attr": "code", "op": "=", "bind": "C"}],
+                "let": [{"var": "T", "table": {key: "hit"}, "key": "$C"}],
+                "emit": {"attr": "t", "op": "=", "value": "$T"},
+                "exact": True,
+            }
+        ],
+    }
 
 
 def edited(field: str) -> dict:
@@ -144,6 +162,25 @@ class TestSpecDigest:
         digest = spec_from_dict(mixed).content_digest
         assert digest == spec_from_dict(copy.deepcopy(mixed)).content_digest
         assert digest != spec_from_dict(PAYLOAD).content_digest
+
+    def test_table_key_type_is_part_of_the_digest(self):
+        # {1: "hit"} and {"1": "hit"} write the same JSON, but a `let`
+        # table looks its key up by type: [code = 1] translates to
+        # [t = "hit"] under the first and to true under the second.
+        int_keyed, str_keyed = code_table_payload(1), code_table_payload("1")
+        assert spec_from_dict(int_keyed).content_digest != (
+            spec_from_dict(str_keyed).content_digest
+        )
+        query = parse_query("[code = 1]")
+        assert str(tdqm_translate(query, spec_from_dict(int_keyed)).mapping) == '[t = "hit"]'
+        assert str(tdqm_translate(query, spec_from_dict(str_keyed)).mapping) == "true"
+
+    def test_str_keyed_payload_digests_as_its_json(self):
+        # Every key a JSON payload can carry is a string; those digests
+        # are the canonical JSON's, as before.
+        payload = code_table_payload("1")
+        canonical = json.dumps(payload, sort_keys=True).encode("utf-8")
+        assert spec_from_dict(payload).content_digest == hashlib.sha256(canonical).hexdigest()
 
 
 class TestSnapshotRoundTrip:
