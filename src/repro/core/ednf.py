@@ -89,11 +89,16 @@ def ednf(query: Query, matcher: Matcher) -> EdnfInfo:
         return info
 
 
+def constraint_set_key(constraints: frozenset[Constraint]) -> tuple[int, str]:
+    """The one order of constraint sets: by size, then by sorted rendering."""
+    return (len(constraints), str(sorted(map(str, constraints))))
+
+
 def _ednf(query: Query, matcher: Matcher) -> EdnfInfo:
     potential = [m.constraints for m in matcher.potential(query.constraints())]
     # Only distinct constraint sets matter for safety, and singletons are
     # handled by rule b.1.
-    potential = sorted(set(potential), key=lambda s: (len(s), str(sorted(map(str, s)))))
+    potential = sorted(set(potential), key=constraint_set_key)
     return _ednf_node(query, potential)
 
 

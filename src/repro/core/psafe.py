@@ -24,12 +24,18 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from repro.core.ast import Constraint, Query
-from repro.core.ednf import Term, ednf
+from repro.core.ednf import Term, constraint_set_key, ednf
 from repro.core.errors import TranslationError
 from repro.core.matching import Matcher
 from repro.obs import trace as obs
 
-__all__ = ["CrossMatching", "PSafeResult", "psafe", "psafe_partition"]
+__all__ = [
+    "CrossMatching",
+    "PSafeResult",
+    "base_cross_matchings",
+    "psafe",
+    "psafe_partition",
+]
 
 #: Above this many candidate blocks, step 2 switches from exact
 #: minimum-cover search to a deterministic greedy + irredundancy prune.
@@ -132,12 +138,7 @@ def _find_cross_matchings(
     term_id = 0
     for combo in product(*essentials):
         ingredients = list(combo)
-        union = Term().union(*ingredients)
-        if union:
-            cross = _delta(union, ingredients, matcher)
-        else:
-            cross = []
-        for m in cross:
+        for m in base_cross_matchings(ingredients, matcher):
             candidates = _minimal_covers(m, ingredients)
             if not candidates:
                 raise TranslationError(
@@ -155,21 +156,22 @@ def _find_cross_matchings(
     return obligations
 
 
-def _delta(
-    union: frozenset[Constraint],
-    ingredients: list[Term],
-    matcher: Matcher,
+def base_cross_matchings(
+    conjuncts: list[frozenset[Constraint]], matcher: Matcher
 ) -> list[frozenset[Constraint]]:
-    """δ = M(D̂, K) − ∪ M(Î_i, K): matchings crossing ingredient borders."""
+    """δ of Definition 5: matchings of the whole not inside any conjunct.
+
+    Empty conjuncts (EDNF's ε terms) hold no matching, so they are not asked.
+    """
+    union = frozenset().union(*conjuncts)
+    if not union:
+        return []
     whole = {m.constraints for m in matcher.matchings(union)}
     inside: set[frozenset[Constraint]] = set()
-    for ingredient in ingredients:
-        if ingredient:
-            inside.update(
-                m.constraints for m in matcher.matchings(ingredient)
-            )
-    cross = whole - inside
-    return sorted(cross, key=lambda s: (len(s), str(sorted(map(str, s)))))
+    for conjunct in conjuncts:
+        if conjunct:
+            inside.update(m.constraints for m in matcher.matchings(conjunct))
+    return sorted(whole - inside, key=constraint_set_key)
 
 
 def _minimal_covers(

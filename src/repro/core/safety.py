@@ -23,7 +23,7 @@ from collections.abc import Callable
 
 from repro.core.ast import Constraint, Query, conj
 from repro.core.matching import Matcher
-from repro.core.psafe import psafe
+from repro.core.psafe import base_cross_matchings, psafe
 from repro.core.scm import scm
 from repro.core.subsume import prop_implies
 
@@ -34,18 +34,6 @@ __all__ = [
     "is_separable_base",
     "is_separable_general",
 ]
-
-
-def base_cross_matchings(
-    conjuncts: list[frozenset[Constraint]], matcher: Matcher
-) -> list[frozenset[Constraint]]:
-    """δ of Definition 5: matchings of the whole not inside any conjunct."""
-    union = frozenset().union(*conjuncts)
-    whole = {m.constraints for m in matcher.matchings(union)}
-    inside: set[frozenset[Constraint]] = set()
-    for conjunct in conjuncts:
-        inside.update(m.constraints for m in matcher.matchings(conjunct))
-    return sorted(whole - inside, key=lambda s: (len(s), str(sorted(map(str, s)))))
 
 
 def is_safe_base(
