@@ -374,43 +374,20 @@ def _cmd_sources(args) -> int:
     return 0 if healthy else 1
 
 
-def _resilience_args_from_args(args) -> dict | None:
-    """The resilience flags as plain data, shippable to spawned workers.
-
-    Validates exactly like :func:`_resilience_from_args` (so cluster mode
-    reports bad ``--fault`` specs before forking anything), but returns
-    picklable primitives each worker reconstructs its own policies from.
-    """
-    if _resilience_from_args(args) is None:
-        return None
-    return {
-        "timeout": args.timeout,
-        "retries": args.retries if args.retries is not None else 2,
-        "backoff": args.backoff if args.backoff is not None else 0.05,
-        "strict": args.strict,
-        "faults": {
-            name: spec
-            for name, _, spec in (entry.partition("=") for entry in args.fault or ())
-        },
-    }
-
-
-def _serve_cluster(args) -> int:
+def _serve_cluster(args, service_config, resilience) -> int:
     """`repro serve --processes N`: the sharded multi-process front-end."""
-    from repro.serve import ClusterConfig, ClusterError, ClusterServer, ServiceConfig
+    from repro.serve import ClusterConfig, ClusterError, ClusterServer
 
     try:
         config = ClusterConfig(
             spec_names=tuple(sorted(set(args.specs.split(",")))),
             processes=args.processes,
-            service=ServiceConfig(
-                max_concurrency=args.max_concurrency, queue_depth=args.queue_depth
-            ),
+            service=service_config,
             snapshot_dir=args.snapshot_dir,
             snapshot_interval=args.snapshot_interval,
             snapshot_limit=args.snapshot_limit,
             metrics=args.metrics,
-            resilience_args=_resilience_args_from_args(args),
+            resilience=resilience,
         )
     except ValueError as exc:
         raise SystemExit(f"serve: {exc}") from None
@@ -454,50 +431,31 @@ def _serve_cluster(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.obs.stats import builtin_mediator
-    from repro.serve import MediationService, ServiceConfig, serve_jsonl, serve_tcp
-    from repro.serve.worker import start_snapshots
+    from repro.serve import ServiceConfig, serve_jsonl, serve_tcp
+    from repro.serve.worker import bootstrap_service
 
-    names = set(args.specs.split(","))
-    mediator = builtin_mediator(names)
-    if mediator is None:
-        known = "K_Amazon | K_Clbooks | K1,K2 | K_map"
-        raise SystemExit(
-            f"serve: {sorted(names)} does not name a built-in scenario ({known})"
-        )
     if args.processes < 1:
         raise SystemExit(f"serve: --processes must be >= 1, got {args.processes}")
-    if args.processes > 1:
-        if not args.tcp:
-            raise SystemExit("serve: --processes needs --tcp (workers are TCP shards)")
-        return _serve_cluster(args)
-    resilience = _resilience_from_args(args)
-    if resilience is not None:
-        mediator = mediator.with_resilience(resilience)
-    # Compile all rule closures before the first request lands.
-    for spec in mediator.specs.values():
-        spec.compiled_index().precompile()
     try:
         config = ServiceConfig(
             max_concurrency=args.max_concurrency, queue_depth=args.queue_depth
         )
     except ValueError as exc:
         raise SystemExit(f"serve: {exc}") from None
-    metrics = None
-    if args.metrics:
-        from repro import obs
-
-        # Installed process-wide so every layer's counters tee in; the
-        # service feeds its histograms/slowlog through the same registry.
-        metrics = obs.install(obs.MetricsRegistry())
-    service = MediationService(mediator, config, metrics=metrics)
+    resilience = _resilience_from_args(args)
+    if args.processes > 1:
+        if not args.tcp:
+            raise SystemExit("serve: --processes needs --tcp (workers are TCP shards)")
+        return _serve_cluster(args, config, resilience)
     try:
-        timer, restored = start_snapshots(
-            service,
-            args.snapshot_dir,
-            0,
-            interval=args.snapshot_interval,
-            limit=args.snapshot_limit,
+        service, restored = bootstrap_service(
+            args.specs.split(","),
+            config,
+            resilience=resilience,
+            metrics=args.metrics,
+            snapshot_dir=args.snapshot_dir,
+            snapshot_interval=args.snapshot_interval,
+            snapshot_limit=args.snapshot_limit,
         )
     except ValueError as exc:
         raise SystemExit(f"serve: {exc}") from None
@@ -510,7 +468,7 @@ def _cmd_serve(args) -> int:
         from repro.registry import RegistryWatcher
         from repro.rules.declarative import spec_from_dict
 
-        served = {spec.name for spec in mediator.specs.values()}
+        served = {spec.name for spec in service.mediator.specs.values()}
         watcher = RegistryWatcher(
             args.watch_registry,
             lambda name, payload: service.reload_spec(spec_from_dict(payload)),
@@ -522,7 +480,7 @@ def _cmd_serve(args) -> int:
         if args.tcp:
             server = serve_tcp(service, host=args.host, port=args.port)
             host, port = server.server_address[:2]
-            suffix = ", metrics on" if metrics is not None else ""
+            suffix = ", metrics on" if args.metrics else ""
             if args.watch_registry:
                 suffix += f", watching {args.watch_registry}"
             print(
@@ -543,8 +501,8 @@ def _cmd_serve(args) -> int:
     finally:
         if watcher is not None:
             watcher.stop()
-        if timer is not None:
-            timer.stop()
+        if service.snapshot_timer is not None:
+            service.snapshot_timer.stop()
     if args.verbose:
         print(
             "service: " + json.dumps(service.stats(), sort_keys=True), file=sys.stderr

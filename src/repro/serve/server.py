@@ -1,9 +1,10 @@
 """Transports for ``repro serve``: JSON-lines over stdio pipes and TCP.
 
-Both transports speak the protocol in :mod:`repro.serve.protocol` and
-share one :class:`~repro.serve.MediationService`, so every connection
-and every pipelined line benefits from the same translation cache and
-admission budget.
+Both transports read request lines through one bounded reader and
+answer each with :func:`~repro.serve.protocol.handle_line` over one
+shared :class:`~repro.serve.MediationService`, so every connection and
+every pipelined line benefits from the same translation cache and
+admission budget.  A cluster worker is this TCP server too.
 
 * :func:`serve_jsonl` — read requests line-by-line from a file object
   (stdin in the CLI), dispatch them on a worker pool, write responses
@@ -19,6 +20,11 @@ admission budget.
   correlate by ``id``) — how the cluster front-end keeps one
   multiplexed connection per worker process saturated.
 
+A request line is read up to :data:`~repro.serve.protocol.MAX_LINE_BYTES`
+(characters on a text stream such as stdin, bytes on a socket).  A
+longer line is read through to its end and dropped, and answered with
+:data:`~repro.serve.protocol.LINE_TOO_LONG`; the conversation goes on.
+
 No client input may tear a connection down: the per-line handler is
 wrapped so that anything :func:`~repro.serve.protocol.handle_line`'s
 own guards miss still produces a structured ``internal-error`` response
@@ -29,24 +35,58 @@ from __future__ import annotations
 
 import socketserver
 import threading
-from collections.abc import Callable
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
-from typing import IO
+from typing import IO, Any
 
-from repro.serve.protocol import encode_response, error_response, handle_line
+from repro.serve.protocol import (
+    LINE_TOO_LONG,
+    MAX_LINE_BYTES,
+    encode_response,
+    error_response,
+    handle_line,
+)
 from repro.serve.service import MediationService
 
 __all__ = ["serve_jsonl", "serve_tcp"]
 
-#: A transport line handler: one request line in, one response line out.
-LineHandler = Callable[[str], str]
+
+def _ends_line(chunk: str | bytes) -> bool:
+    """Does this ``readline(MAX_LINE_BYTES)`` chunk end its line or the input?"""
+    if len(chunk) < MAX_LINE_BYTES:
+        return True
+    if isinstance(chunk, bytes):
+        return chunk.endswith(b"\n")
+    return chunk.endswith("\n")
 
 
-def _guarded(handler: LineHandler, line: str) -> str:
-    """Run ``handler`` on one line; any escape becomes a structured error."""
+def _request_lines(stream: IO[Any]) -> Iterator[str | None]:
+    """The request lines of a text or binary stream, stripped; ``None`` for one too long.
+
+    Blank lines and ``#`` comments are skipped.  A line past
+    :data:`MAX_LINE_BYTES` is read through to its end and dropped.
+    """
+    while True:
+        raw = stream.readline(MAX_LINE_BYTES)
+        if not raw:
+            return
+        if not _ends_line(raw):
+            while not _ends_line(stream.readline(MAX_LINE_BYTES)):
+                pass
+            yield None
+            continue
+        line = raw.decode("utf-8", errors="replace") if isinstance(raw, bytes) else raw
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line
+
+
+def _answer(service: MediationService, line: str | None) -> str:
+    """One response line for one request line; any escape becomes a structured error."""
+    if line is None:
+        return encode_response(LINE_TOO_LONG)
     try:
-        return handler(line)
+        return handle_line(service, line)
     except Exception as exc:  # noqa: BLE001 - transport-level last resort
         return encode_response(
             error_response(None, "internal-error", f"{type(exc).__name__}: {exc}")
@@ -67,21 +107,16 @@ def serve_jsonl(
     control.  Blank lines and ``#`` comments are skipped.  Returns the
     number of requests handled.
     """
-    handler: LineHandler = partial(handle_line, service)
     write_lock = threading.Lock()
     handled = 0
 
-    def respond(line: str) -> None:
-        response = _guarded(handler, line)
+    def respond(line: str | None) -> None:
+        response = _answer(service, line)
         with write_lock:
             outfile.write(response + "\n")
             outfile.flush()
 
-    lines = (
-        line.strip()
-        for line in infile
-        if line.strip() and not line.lstrip().startswith("#")
-    )
+    lines = _request_lines(infile)
     if workers <= 1:
         for line in lines:
             respond(line)
@@ -104,15 +139,8 @@ class _JsonLinesHandler(socketserver.StreamRequestHandler):
         if self.server.pipeline_workers > 1:
             self._handle_pipelined(self.server.pipeline_workers)
             return
-        for line in self._lines():
-            self._write(_guarded(self.server.line_handler, line))
-
-    def _lines(self):
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line or line.startswith("#"):
-                continue
-            yield line
+        for line in _request_lines(self.rfile):
+            self._write(_answer(self.server.service, line))
 
     def _write(self, response: str) -> None:
         self.wfile.write((response + "\n").encode("utf-8"))
@@ -127,8 +155,8 @@ class _JsonLinesHandler(socketserver.StreamRequestHandler):
         """
         write_lock = threading.Lock()
 
-        def respond(line: str) -> None:
-            response = _guarded(self.server.line_handler, line)
+        def respond(line: str | None) -> None:
+            response = _answer(self.server.service, line)
             with write_lock:
                 try:
                     self._write(response)
@@ -139,7 +167,7 @@ class _JsonLinesHandler(socketserver.StreamRequestHandler):
         with ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="serve-pipeline"
         ) as pool:
-            for line in self._lines():
+            for line in _request_lines(self.rfile):
                 pool.submit(respond, line)
 
 
@@ -152,14 +180,10 @@ class _Server(socketserver.ThreadingTCPServer):
         address: tuple[str, int],
         service: MediationService,
         *,
-        line_handler: LineHandler | None = None,
         pipeline_workers: int = 1,
     ):
         super().__init__(address, _JsonLinesHandler)
         self.service = service
-        self.line_handler: LineHandler = line_handler or (
-            lambda line: handle_line(service, line)
-        )
         self.pipeline_workers = pipeline_workers
 
 
@@ -168,7 +192,6 @@ def serve_tcp(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    line_handler: LineHandler | None = None,
     pipeline_workers: int = 1,
 ) -> _Server:
     """A threading TCP server bound to ``(host, port)`` — not yet serving.
@@ -176,14 +199,7 @@ def serve_tcp(
     ``port=0`` binds an ephemeral port; read the real one from
     ``server.server_address``.  Call ``serve_forever()`` (blocking, the
     CLI does this) or drive it from a thread and ``shutdown()`` when
-    done (what the tests do).  ``line_handler`` overrides the per-line
-    dispatch (the cluster workers add their own ops on top of the
-    protocol); ``pipeline_workers`` > 1 turns on per-connection pipelined
-    dispatch (see :class:`_JsonLinesHandler`).
+    done (what the tests do).  ``pipeline_workers`` > 1 turns on
+    per-connection pipelined dispatch (see :class:`_JsonLinesHandler`).
     """
-    return _Server(
-        (host, port),
-        service,
-        line_handler=line_handler,
-        pipeline_workers=pipeline_workers,
-    )
+    return _Server((host, port), service, pipeline_workers=pipeline_workers)

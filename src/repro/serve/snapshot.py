@@ -42,12 +42,16 @@ import time
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core.json_io import query_from_json, query_to_json
 from repro.core.tdqm import TdqmStats, TranslationResult
 from repro.obs import trace as obs
 from repro.perf.cache import TranslationCache
 from repro.rules.spec import MappingSpecification
+
+if TYPE_CHECKING:
+    from repro.mediator.mediator import Mediator
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -302,20 +306,23 @@ def restore_snapshot(
 
 
 class SnapshotTimer:
-    """Periodic + on-stop snapshots for one cache, on a daemon thread.
+    """Periodic + on-stop snapshots of one mediator's cache, on a daemon thread.
 
     Both the cluster workers and single-process ``repro serve
     --snapshot-dir`` use this: start it after restoring, stop it on
     shutdown (the stop writes a final snapshot, so a clean exit always
     persists the freshest working set).  An ``interval`` of zero disables
     the periodic timer but keeps the final on-stop snapshot.
+
+    Each write reads the mediator's cache and its live spec table, so
+    after a hot reload the timer exports under the new spec's digest and
+    holds no reference to the retired one.
     """
 
     def __init__(
         self,
         path: str | os.PathLike[str],
-        cache: TranslationCache,
-        specs: Mapping[str, MappingSpecification],
+        mediator: "Mediator",
         *,
         interval: float = 30.0,
         limit: int | None = None,
@@ -324,38 +331,22 @@ class SnapshotTimer:
             raise ValueError(f"snapshot interval must be >= 0, got {interval}")
         if limit is not None and limit < 0:
             raise ValueError(f"snapshot limit must be >= 0, got {limit}")
+        if mediator.translation_cache is None:
+            raise ValueError("snapshots need a mediator with a translation cache")
         self.path = Path(path)
-        self.cache = cache
-        self.specs = dict(specs)
+        self.mediator = mediator
         self.interval = interval
         self.limit = limit
-        self.last_report: SnapshotReport | None = None
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._write_lock = threading.Lock()
 
     def write_now(self) -> SnapshotReport:
-        """Write one snapshot immediately (serialized against the timer)."""
-        with self._write_lock:
-            report = write_snapshot(
-                self.path, self.cache, self.specs, limit=self.limit
-            )
-            self.last_report = report
-            return report
-
-    def update_spec(self, spec: MappingSpecification) -> bool:
-        """Swap a hot-reloaded specification into the snapshot table.
-
-        Without this a long-lived timer would pin the retired spec
-        object forever *and* keep exporting against its digest — every
-        entry of the replacement spec would be skipped as stale.
-        Returns whether the table held the spec.
-        """
-        with self._write_lock:
-            if spec.name not in self.specs:
-                return False
-            self.specs[spec.name] = spec
-            return True
+        """Write one snapshot now; :func:`write_snapshot` serializes writers per path."""
+        cache = self.mediator.translation_cache
+        assert cache is not None  # checked at construction
+        return write_snapshot(
+            self.path, cache, specs_by_name(self.mediator.specs), limit=self.limit
+        )
 
     def _run(self) -> None:
         while not self._stop.wait(self.interval):

@@ -1,16 +1,20 @@
 #!/usr/bin/env python
-"""CI smoke check for continuous telemetry on a *real* server process.
+"""CI smoke check for telemetry and the line protocol on a *real* server process.
 
-Starts ``repro serve --tcp --metrics`` as a subprocess (ephemeral port),
-drives a few requests over TCP, then exercises the admin ops the way an
-operator would:
+Starts ``repro serve --tcp --metrics --snapshot-dir DIR`` as a
+subprocess (ephemeral port), drives a few requests over TCP, then
+exercises the admin ops the way an operator would:
 
 * ``health`` — must answer ``status: ok`` with the exact request count;
 * ``slowlog`` — must rank the issued fingerprints;
 * ``metrics`` (JSON) — counters/histograms must carry the exact totals;
 * ``metrics`` (``format: prometheus``) — the text must parse cleanly
   with :func:`repro.obs.export.parse_prometheus` and reproduce the same
-  numbers.
+  numbers;
+* ``snapshot`` — must write the translations served so far;
+* a request line past ``MAX_LINE_BYTES`` — must get the ``bad-request``
+  that names the bound, after which the same connection still answers
+  ``ping``.
 
 Exits non-zero with a diagnostic on any mismatch.  Run from the repo
 root::
@@ -26,11 +30,13 @@ import pathlib
 import socket
 import subprocess
 import sys
+import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.obs.export import parse_prometheus  # noqa: E402
+from repro.serve.protocol import MAX_LINE_BYTES  # noqa: E402
 
 QUERIES = [
     '[ln = "Clancy"] and [fn = "Tom"]',
@@ -45,12 +51,17 @@ def fail(message: str) -> None:
 
 
 def main() -> int:
+    with tempfile.TemporaryDirectory() as snapshot_dir:
+        return smoke(snapshot_dir)
+
+
+def smoke(snapshot_dir: str) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve", "K_Amazon",
-            "--tcp", "--port", "0", "--metrics",
+            "--tcp", "--port", "0", "--metrics", "--snapshot-dir", snapshot_dir,
         ],
         stderr=subprocess.PIPE,
         text=True,
@@ -121,10 +132,24 @@ def main() -> int:
             if not source_keys:
                 fail("no per-source scorecard series in Prometheus output")
 
+            snapshot = ask({"op": "snapshot"})
+            if not snapshot.get("ok") or snapshot["snapshot"]["entries"] < 1:
+                fail(f"snapshot wrote no entry: {snapshot}")
+            overlong = ask({"op": "translate", "query": "x" * MAX_LINE_BYTES})
+            error = overlong.get("error") or {}
+            if error.get("type") != "bad-request" or "MAX_LINE_BYTES" not in error.get(
+                "message", ""
+            ):
+                fail(f"overlong line not refused at the bound: {overlong}")
+            if ask({"op": "ping"}).get("pong") is not True:
+                fail("no ping answer after the overlong line")
+
         print(
             f"metrics-smoke: OK ({total} requests; "
             f"{len(samples)} Prometheus samples; "
-            f"{len(source_keys)} source(s) on scorecards)"
+            f"{len(source_keys)} source(s) on scorecards; "
+            f"{snapshot['snapshot']['entries']} snapshot entries; "
+            "overlong line refused, connection kept)"
         )
         return 0
     finally:
