@@ -15,7 +15,10 @@ by the CLI, never from :mod:`repro.obs` itself.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.core.filters import FilterPlan, build_filter
 from repro.core.json_io import query_to_json
@@ -28,7 +31,17 @@ from repro.obs.export import counters_table, render_span, report_to_dict
 from repro.obs.trace import Tracer, gauge, span, tracing
 from repro.rules.spec import MappingSpecification
 
-__all__ = ["StatsReport", "collect_stats", "builtin_mediator", "render_stats", "stats_to_dict"]
+if TYPE_CHECKING:
+    from repro.mediator import Mediator
+
+__all__ = [
+    "StatsReport",
+    "collect_stats",
+    "builtin_mediator",
+    "builtin_scenario",
+    "render_stats",
+    "stats_to_dict",
+]
 
 
 @dataclass
@@ -47,12 +60,12 @@ class StatsReport:
     complete: bool = True
 
 
-def builtin_mediator(spec_names: set[str]):
-    """The built-in mediator whose sources the named specs describe.
+def builtin_scenario(spec_names: set[str]) -> Callable[[], Mediator] | None:
+    """The factory of the built-in mediator the named specs describe.
 
     Returns ``None`` when the specs do not correspond to a simulated
-    scenario (e.g. a declarative spec file) — stats then covers
-    translation and filtering only.
+    scenario (e.g. a declarative spec file).  Builds nothing, so a caller
+    can check a name set before it starts any work.
     """
     from repro.mediator import (
         bookstore_mediator,
@@ -61,14 +74,25 @@ def builtin_mediator(spec_names: set[str]):
     )
 
     if spec_names == {"K_Amazon"}:
-        return bookstore_mediator("amazon")
+        return partial(bookstore_mediator, "amazon")
     if spec_names == {"K_Clbooks"}:
-        return bookstore_mediator("clbooks")
+        return partial(bookstore_mediator, "clbooks")
     if spec_names and spec_names <= {"K1", "K2"}:
-        return faculty_mediator()
+        return faculty_mediator
     if spec_names == {"K_map"}:
-        return map_mediator()
+        return map_mediator
     return None
+
+
+def builtin_mediator(spec_names: set[str]):
+    """The built-in mediator whose sources the named specs describe.
+
+    Returns ``None`` when the specs do not correspond to a simulated
+    scenario (e.g. a declarative spec file) — stats then covers
+    translation and filtering only.
+    """
+    factory = builtin_scenario(spec_names)
+    return None if factory is None else factory()
 
 
 def collect_stats(

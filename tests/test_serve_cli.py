@@ -98,6 +98,17 @@ class TestServeClusterFlags:
         with pytest.raises(SystemExit, match="needs --tcp"):
             main(["serve", "K_Amazon", "--processes", "2"])
 
+    def test_unknown_scenario_exits_before_forking(self, monkeypatch):
+        from repro.serve.cluster import ClusterServer
+
+        def spawn(self, shard):
+            raise AssertionError("spawned a worker for an unknown scenario")
+
+        monkeypatch.setattr(ClusterServer, "_spawn_worker", spawn)
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        with pytest.raises(SystemExit, match=r"serve: \['K_Bogus'\] does not name a built-in"):
+            main(["serve", "K_Bogus", "--tcp", "--processes", "2"])
+
     def test_zero_processes_exits(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         with pytest.raises(SystemExit, match="--processes must be"):
